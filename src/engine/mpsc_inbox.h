@@ -131,8 +131,7 @@ public:
     // The producer-side wait of the block policy: parks briefly (bounded
     // by a ~1ms timeout) until a pop or close() makes another attempt
     // worthwhile. Callers loop try_push_n / wait_for_space. A blocking
-    // boundary: on a pool worker this is only legal under a park permit
-    // (engine/thread_pool.h).
+    // boundary: never legal on a pool worker (engine/thread_pool.h).
     void wait_for_space() NETDIAG_EXCLUDES(wait_mu_) {
         thread_pool::assert_wait_allowed();
         sync::mutex_lock lock(wait_mu_);

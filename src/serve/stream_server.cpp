@@ -81,21 +81,6 @@ struct stream_server::stream_entry {
     std::atomic<std::uint64_t> applied{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> rejected{0};
-    // One pooled drainer task in flight per stream at most: producers
-    // race on this flag, the loser knows a task is already scheduled (or
-    // running) and returns right after enqueueing. The task clears it
-    // after releasing the drain role and re-checks the inbox, so a
-    // producer that enqueued between the last pop and the clear either
-    // sees the flag still set or wins it and schedules the next task --
-    // the same lost-drain re-check shape as drain_entry.
-    std::atomic<bool> drainer_scheduled{false};
-    // A detector error thrown inside a pooled drainer task has no caller
-    // to propagate to; it parks here (first error wins) and rethrows on
-    // the stream's next ingest or flush_stream, mirroring where a
-    // caller-thread auto-drain would have thrown.
-    std::atomic<bool> drain_error_set{false};
-    sync::mutex error_mu;
-    std::exception_ptr drain_error NETDIAG_GUARDED_BY(error_mu);
     // Ingest-to-applied latency accounting, written by the drainer per
     // applied bin, read by ingest_statistics. A dedicated mutex (never
     // held across detector or inbox calls) rather than the drain role:
@@ -114,27 +99,6 @@ struct stream_server::stream_entry {
         latency_hist.record(std::log2(static_cast<double>(std::max<std::uint64_t>(ns, 1))));
         ++latency_count;
         latency_max_ns = std::max(latency_max_ns, ns);
-    }
-
-    void park_drain_error(std::exception_ptr error) NETDIAG_EXCLUDES(error_mu) {
-        sync::mutex_lock lock(error_mu);
-        if (!drain_error) {
-            drain_error = std::move(error);
-            drain_error_set.store(true, std::memory_order_release);
-        }
-    }
-
-    // Rethrows (once) an error a pooled drainer parked. The atomic flag
-    // keeps the common path lock-free.
-    void rethrow_parked_drain_error() NETDIAG_EXCLUDES(error_mu) {
-        if (!drain_error_set.load(std::memory_order_acquire)) return;
-        std::exception_ptr error;
-        {
-            sync::mutex_lock lock(error_mu);
-            error = std::exchange(drain_error, nullptr);
-            drain_error_set.store(false, std::memory_order_release);
-        }
-        if (error) std::rethrow_exception(error);
     }
 
     // RAII release of an already-acquired drain role (close_stream is the
@@ -169,8 +133,6 @@ struct stream_server::stream_entry {
     static void apply_pending(stream_entry& e, bool yield_to_waiters)
         NETDIAG_REQUIRES(e.drain_cap);
     static void drain_entry(stream_entry& e) NETDIAG_EXCLUDES(e.drain_cap);
-    static void run_pooled_drainer(stream_entry& e, const thread_pool::park_permit& permit)
-        NETDIAG_EXCLUDES(e.drain_cap);
 };
 
 std::shared_ptr<stream_server::stream_entry> stream_server::make_entry(
@@ -323,74 +285,6 @@ detection_result stream_server::push(stream_id id, std::span<const double> y) {
     return it->second->detector->push_bin(y);
 }
 
-std::vector<detection_result> stream_server::push_batch(std::span<const stream_bin> bins) {
-    sync::shared_lock lock(mu_);
-
-    // Group by stream, preserving per-stream batch order. Validation is
-    // all-or-nothing: an unknown id or a width mismatch throws before any
-    // bin is pushed, so a batch that fails validation never leaves
-    // streams partially advanced (which would break their replay parity
-    // unrecoverably). Detector errors surfacing mid-batch are rethrown
-    // only after every group has stopped.
-    struct group {
-        stream_detector* detector = nullptr;
-        std::vector<std::size_t> items;  // indices into bins, in batch order
-    };
-    std::vector<group> groups;
-    std::map<stream_id, std::size_t> group_of;
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        const auto [it, inserted] = group_of.try_emplace(bins[i].id, groups.size());
-        if (inserted) {
-            const auto entry_it = streams_.find(bins[i].id);
-            if (entry_it == streams_.end()) {
-                throw std::invalid_argument("stream_server: unknown stream id " +
-                                            std::to_string(bins[i].id));
-            }
-            groups.push_back({entry_it->second->detector.get(), {}});
-        }
-        if (bins[i].y.size() != groups[it->second].detector->dimension()) {
-            throw std::invalid_argument(
-                "stream_server: bin width " + std::to_string(bins[i].y.size()) +
-                " does not match stream " + std::to_string(bins[i].id) + " dimension " +
-                std::to_string(groups[it->second].detector->dimension()));
-        }
-        groups[it->second].items.push_back(i);
-    }
-    std::vector<detection_result> results(bins.size());
-    if (groups.empty()) return results;
-
-    const auto run_group = [&](const group& g) {
-        for (const std::size_t i : g.items) {
-            results[i] = g.detector->push_bin(bins[i].y);
-        }
-    };
-
-    if (pool_ == nullptr || groups.size() == 1) {
-        for (const group& g : groups) run_group(g);
-        return results;
-    }
-
-    // A deferred refit whose swap boundary falls inside this batch would
-    // make a pool worker wait on a pool task; resolve those waits here on
-    // the calling thread first (workers stay free to run the fit), so the
-    // sharded phase below never parks a worker on maintenance that was
-    // already due at batch entry.
-    for (const group& g : groups) g.detector->prepare_pushes(g.items.size());
-
-    // Shard one group per grain-claimed chunk, rotating the starting
-    // group between batches so no stream is systematically served first
-    // (round-robin fairness: a refit-heavy stream holds at most one
-    // worker while the dynamic claiming spreads the rest). One dispatch
-    // at a time: see dispatch_mu_.
-    const std::size_t rotation =
-        shard_rotation_.fetch_add(1, std::memory_order_relaxed) % groups.size();
-    sync::mutex_lock dispatch(dispatch_mu_);
-    parallel_for(*pool_, 0, groups.size(), /*grain=*/1, [&](std::size_t g) {
-        run_group(groups[(g + rotation) % groups.size()]);
-    });
-    return results;
-}
-
 // Blocks until the calling thread holds the stream's drain role.
 // Returns false without acquiring when bail_on_closing is set and
 // close_stream owns the stream (close takes the role and never releases
@@ -436,10 +330,6 @@ void stream_server::stream_entry::apply_pending(stream_entry& e, bool yield_to_w
         if (pending == 0) return;
         const std::size_t burst =
             std::min(pending, std::max<std::size_t>(global_tuning().ingest_drain_burst, 1));
-        // Resolve refit waits falling due within this burst here, on the
-        // drainer's thread -- a caller thread, or a pooled drainer task
-        // running under a park permit.
-        e.detector->prepare_pushes(burst);
         std::size_t popped = 0;
         for (std::size_t i = 0; i < burst; ++i) {
             if (!e.inbox->try_pop(bin, seq)) break;
@@ -483,77 +373,6 @@ void stream_server::stream_entry::drain_entry(stream_entry& e) {
     }
 }
 
-// Body of a pooled drainer task. Runs on a pool worker under a park
-// permit, so the blocking boundaries inside apply_pending (a deferred
-// swap join, a refit wait) are legal here -- that is the whole point:
-// the producer returns after enqueueing and this task absorbs the wait.
-// Exactly one such task exists per stream (drainer_scheduled); it drains
-// until the inbox is observed empty, handing the flag back between
-// rounds so the scheduling race with producers has the same lost-drain
-// shape as drain_entry.
-void stream_server::stream_entry::run_pooled_drainer(stream_entry& e,
-                                                     const thread_pool::park_permit& permit) {
-    thread_pool::parked_job_scope scope(permit);
-    for (;;) {
-        if (!wait_for_drain_role(e, /*bail_on_closing=*/true)) {
-            // close_stream owns the role for good and applies the residue
-            // itself; drainer_scheduled staying set on a dying stream is
-            // harmless (the entry is unpublished).
-            return;
-        }
-        bool errored = false;
-        {
-            drain_role role(e);
-            try {
-                apply_pending(e, /*yield_to_waiters=*/true);
-            } catch (...) {
-                e.park_drain_error(std::current_exception());
-                errored = true;
-            }
-        }
-        e.drainer_scheduled.store(false, std::memory_order_seq_cst);
-        if (errored) return;
-        if (e.inbox->empty()) return;
-        // Bins remain: either a producer enqueued after our last pop (and
-        // saw the flag still set), or apply_pending yielded to a parked
-        // maintenance op. Re-arm and go again -- unless a producer beat
-        // us to the flag and scheduled the next task.
-        if (e.drainer_scheduled.exchange(true, std::memory_order_seq_cst)) return;
-    }
-}
-
-// Tries to delegate a stream's auto-drain to a dedicated pool task.
-// Returns true when no caller-thread drain is needed (a task is now, or
-// was already, responsible for the pending bins -- or the inbox is
-// empty); false sends the caller down the classic self-drain path. The
-// permit is acquired BEFORE submitting: a task that had to acquire it
-// inside the pool could fail there, with no caller left to fall back on.
-bool stream_server::maybe_schedule_pooled_drainer(const std::shared_ptr<stream_entry>& e) {
-    if (!e->opts.pooled_drainer || pool_ == nullptr || pool_->park_budget() == 0) {
-        return false;
-    }
-    if (e->inbox->empty()) return true;
-    if (e->drainer_scheduled.exchange(true, std::memory_order_seq_cst)) return true;
-    thread_pool::park_permit permit = pool_->try_acquire_park_permit();
-    if (!permit) {
-        // Budget spent by other streams' drainers: drain on the caller.
-        e->drainer_scheduled.store(false, std::memory_order_seq_cst);
-        return false;
-    }
-    // std::function requires copyable callables; the move-only permit
-    // rides in a shared_ptr and releases itself when the task retires.
-    auto shared_permit = std::make_shared<thread_pool::park_permit>(std::move(permit));
-    try {
-        pool_->submit([e, shared_permit] {
-            stream_entry::run_pooled_drainer(*e, *shared_permit);
-        });
-    } catch (...) {
-        e->drainer_scheduled.store(false, std::memory_order_seq_cst);
-        return false;  // permit released by shared_permit's destructor
-    }
-    return true;
-}
-
 ingest_result stream_server::ingest(stream_id id, std::span<const double> y) {
     const std::span<const double> one[] = {y};
     return ingest_batch(id, one);
@@ -563,10 +382,6 @@ ingest_result stream_server::ingest_batch(stream_id id,
                                           std::span<const std::span<const double>> ys) {
     const std::shared_ptr<stream_entry> e = find_entry(id);
     if (e == nullptr) return {ingest_error::unknown_stream, 0, 0};
-    // A pooled drainer task had nobody to throw to; its parked detector
-    // error surfaces on the stream's next ingest, exactly where a
-    // caller-thread auto-drain would have thrown it.
-    e->rethrow_parked_drain_error();
 
     // Validate and stage the payloads before touching the entry lock.
     {
@@ -662,37 +477,21 @@ ingest_result stream_server::ingest_batch(stream_id id,
             e->inbox->wait_for_space();
         }
     }
-    // Pooled mode hands the drain to a dedicated pool task so this call
-    // returns as soon as the bins are enqueued; when the budget is spent
-    // (or pooled mode is off) the producer drains on its own thread as
-    // before -- the fallback is what keeps progress independent of the
-    // pool's state.
-    if (e->opts.auto_drain) {
-        if (!maybe_schedule_pooled_drainer(e)) stream_entry::drain_entry(*e);
-    }
+    if (e->opts.auto_drain) stream_entry::drain_entry(*e);
     return out;
 }
 
 void stream_server::flush_stream(stream_id id) {
     const std::shared_ptr<stream_entry> e = entry_or_throw(id);
     for (std::size_t spin = 0;; ++spin) {
-        // Surface a pooled drainer's parked error instead of reporting a
-        // clean flush: the erroring drainer dropped its bin and retired,
-        // so the empty-and-idle exit below could otherwise succeed.
-        e->rethrow_parked_drain_error();
         // A concurrent close_stream applies the residue itself (and owns
         // the drain role until teardown): nothing left for us.
         if (e->closing.load(std::memory_order_acquire)) return;
         stream_entry::drain_entry(*e);
         // Done only when the inbox is empty AND no drainer is mid-apply
         // (an active drainer may have popped the last bin but not pushed
-        // it through the detector yet). Re-check for a parked error at
-        // the exit: the drainer may have erred and retired between this
-        // iteration's check above and drain_entry's role handoff.
-        if (e->inbox->empty() && !e->draining.load(std::memory_order_seq_cst)) {
-            e->rethrow_parked_drain_error();
-            return;
-        }
+        // it through the detector yet).
+        if (e->inbox->empty() && !e->draining.load(std::memory_order_seq_cst)) return;
         spin_then_sleep_backoff(spin);
     }
 }
@@ -735,11 +534,14 @@ ingest_stats stream_server::ingest_statistics(stream_id id) const {
         st.latency_count = e->latency_count;
         if (e->latency_count > 0) {
             // Histogram buckets hold log2(ns); the percentile is the
-            // bucket's upper edge, so the exponentiated value is an upper
-            // bound on the true sample quantile. The max is exact.
-            st.latency_p50_ms = std::exp2(e->latency_hist.percentile(0.50)) / 1e6;
-            st.latency_p99_ms = std::exp2(e->latency_hist.percentile(0.99)) / 1e6;
+            // bucket's upper edge, an upper bound on the true sample
+            // quantile that can overshoot every sample. The max is exact
+            // and no quantile exceeds it, so clamp to it.
+            const double p50_ms = std::exp2(e->latency_hist.percentile(0.50)) / 1e6;
+            const double p99_ms = std::exp2(e->latency_hist.percentile(0.99)) / 1e6;
             st.latency_max_ms = static_cast<double>(e->latency_max_ns) / 1e6;
+            st.latency_p50_ms = std::min(p50_ms, st.latency_max_ms);
+            st.latency_p99_ms = std::min(p99_ms, st.latency_max_ms);
         }
     }
     return st;
@@ -772,12 +574,12 @@ const stream_detector& stream_server::stream(stream_id id) const {
 }
 
 std::size_t stream_server::stream_count() const {
-    std::shared_lock lock(mu_);
+    sync::shared_lock lock(mu_);
     return streams_.size();
 }
 
 std::vector<stream_id> stream_server::stream_ids() const {
-    std::shared_lock lock(mu_);
+    sync::shared_lock lock(mu_);
     std::vector<stream_id> ids;
     ids.reserve(streams_.size());
     for (const auto& [id, entry] : streams_) ids.push_back(id);
@@ -787,7 +589,7 @@ std::vector<stream_id> stream_server::stream_ids() const {
 void stream_server::drain_all() {
     // Same shape as snapshot_all: never hold mu_ while waiting for a
     // drainer to retire (its sink may read the server), and take each
-    // stream's drain role before joining its detector -- a caller-thread
+    // stream's drain role before joining its detector -- an ingest
     // auto-drain may be inside push_bin, touching the same maintenance
     // state detector->drain() consumes.
     sync::mutex_lock maintenance(maint_mu_);
@@ -800,7 +602,7 @@ void stream_server::drain_all() {
     for (const std::shared_ptr<stream_entry>& entry : entries) {
         if (!stream_entry::wait_for_drain_role(*entry, /*bail_on_closing=*/true)) continue;
         stream_entry::drain_role role(*entry);
-        sync::exclusive_lock lock(mu_);  // exclude ordered-edge pushes during the join
+        sync::exclusive_lock lock(mu_);  // exclude push() during the join
         entry->detector->drain();
     }
 }
@@ -834,9 +636,9 @@ void stream_server::snapshot_all(const std::string& directory) {
         // lock shared, so waiting for the role while holding it exclusive
         // would deadlock against our own sink), then the entry lock stops
         // new enqueues, and the save below runs under mu_ exclusive to
-        // exclude ordered-edge pushes. The inbox is snapshotted as
-        // residue, NOT drained, so the restored server resumes from
-        // exactly this state. Lock order everywhere: drain role, then
+        // exclude push(). The inbox is snapshotted as residue, NOT
+        // drained, so the restored server resumes from exactly this
+        // state. Lock order everywhere: drain role, then
         // entry lock (close_stream follows it too).
         stream_entry::acquire_drain_role(*entry);
         stream_entry::drain_role role(*entry);
@@ -918,7 +720,7 @@ void stream_server::restore_all(const std::string& directory) {
 // Writes the format-v3 "server_stream" container record for a quiesced
 // stream. Caller holds the stream's drain role and entry lock (and
 // maint_mu_); this function takes mu_ exclusive itself around the
-// detector serialization to exclude ordered-edge pushes.
+// detector serialization to exclude push().
 void stream_server::write_stream_record(stream_entry& entry, std::ostream& out,
                                         ckpt::encoding enc) {
     ckpt::set_encoding(out, enc);
@@ -938,7 +740,7 @@ void stream_server::write_stream_record(stream_entry& entry, std::ostream& out,
     ckpt::write_u64(out, residue.size());
     for (const auto& [seq, bin] : residue) ckpt::write_vec(out, bin.y);
     // Serialize the detector to memory under mu_ exclusive (this is what
-    // excludes ordered-edge pushes on this stream) and write it out after
+    // excludes push() on this stream) and write it out after
     // releasing it, so a slow sink never stalls the other streams'
     // pushes. The buffer carries the same encoding as the outer record:
     // the nested detector record must decode under one codec.

@@ -1,97 +1,63 @@
-// Sharded multi-stream serving front-end with concurrent-by-construction
-// ingest. One stream_server owns N independent stream_detector instances
-// -- any mix of streaming_diagnoser / tracking_detector /
+// Multi-stream serving front-end with concurrent-by-construction ingest.
+// One stream_server owns N independent stream_detector instances -- any
+// mix of streaming_diagnoser / tracking_detector /
 // incremental_pca_tracker, one per PoP / customer / vantage point -- each
-// with its own epoch space, multiplexed over one shared engine
-// thread_pool, and (since the MPSC-inbox change) each with its own
-// bounded ingest inbox so any number of collector threads can feed one
-// stream without caller-side ordering.
+// with its own epoch space, its own bounded ingest inbox, and its
+// background maintenance (refits, deferred folds) multiplexed over one
+// shared engine thread_pool.
 //
 // Parity guarantee: the server adds routing, never arithmetic. A stream
 // served here produces bit-identical output -- verdicts, SPE, thresholds,
 // epochs -- to the same detector run alone with the same refit mode, for
-// every pool size including none. For the ordered push/push_batch API the
-// reference order is the caller's push order; for the ingest API it is
-// the *sequence order the inbox assigned at enqueue* (returned from
-// ingest(), reported to the sink): replaying those bins through a
-// standalone single-pusher detector in sequence order reproduces every
-// served output bit-for-bit. This holds by construction: per-stream state
-// is only ever touched by one drainer (or one ordered pusher) at a time,
-// and the PR-3 epoch-versioning discipline makes each detector's output a
-// function of its own input sequence alone.
+// every pool size including none. The reference order is the *sequence
+// order the inbox assigned at enqueue* (returned from ingest(), reported
+// to the sink): replaying those bins through a standalone single-pusher
+// detector in sequence order reproduces every served output bit-for-bit.
+// This holds by construction: per-stream state is only ever touched by
+// one drainer at a time, and the epoch-versioning discipline makes each
+// detector's output a function of its own input sequence alone.
 //
-// Two ingest edges per stream -- pick one at a time:
-//  - push()/push_batch(): the ordered edge. One externally-ordered pusher
-//    per stream (a serving loop with one feed per stream); results are
-//    returned synchronously.
-//  - ingest()/ingest_batch(): the concurrent edge. Any number of
-//    producer threads enqueue bins into the stream's bounded MPSC inbox
-//    (engine/mpsc_inbox.h); each accepted bin gets a monotone sequence at
-//    enqueue, and a single drainer at a time applies bins in sequence
-//    order through the detector, delivering each result to the stream's
-//    optional ingest sink. With auto_drain (the default) the draining is
-//    done opportunistically by ingesting callers (one of them claims the
-//    per-stream drain role, the rest return immediately after enqueue);
-//    with auto_drain off, bins accumulate until flush_stream(). Draining
-//    happens on caller threads by default; with pooled_drainer set, an
-//    ingest that finds work schedules a dedicated drainer task on the
-//    server's pool instead (claiming the same per-stream drain role), so
-//    ingest-to-applied latency decouples from the producers' call
-//    cadence. A pooled drainer may wait at a deferred refit's swap
-//    boundary because it runs under one of the pool's park permits --
-//    the bounded parked-worker budget (engine/thread_pool.h) that
-//    replaced the old hard no-waiting-in-jobs rule. When no permit is
-//    available (budget exhausted, zero, or no pool) the ingest falls
-//    back to caller-thread draining, so enabling the flag never costs
-//    liveness -- and never changes results: which thread drains is
-//    invisible to the sequence-order replay parity above.
-//    Backpressure when an inbox is full is per-stream policy: block
-//    (wait for the drainer), reject (ingest returns inbox_full), or
-//    drop_oldest (evict the oldest pending bin; newest data wins).
-//    Mixing the two edges *concurrently* on the same stream is a
-//    contract violation (the ordered edge bypasses the inbox); mixing
-//    them sequentially -- quiesce, then switch -- is fine.
+// One serving discipline per stream: ingest()/ingest_batch() enqueue into
+// the stream's bounded MPSC inbox (engine/mpsc_inbox.h) from any number
+// of producer threads; each accepted bin gets a monotone sequence at
+// enqueue, and a single drainer at a time applies bins in sequence order
+// through the detector, delivering each result to the stream's optional
+// ingest sink. The drainer is always a caller thread: with auto_drain
+// (the default) one ingesting caller claims the per-stream drain role and
+// the rest return right after enqueueing; with auto_drain off, bins
+// accumulate until flush_stream(). A drain may wait at a deferred refit's
+// swap boundary, which is legal because it runs on a caller thread, never
+// on a pool worker. Backpressure when an inbox is full is per-stream
+// policy: block (wait for the drainer), reject (ingest returns
+// inbox_full), or drop_oldest (evict the oldest pending bin; newest data
+// wins).
 //
-// Fairness / backpressure policy (ordered edge):
-//  - push_batch groups the batch by stream (per-stream order preserved)
-//    and shards the groups across the pool with dynamic chunk claiming,
-//    rotating the group order round-robin between batches, so a
-//    refit-heavy stream occupies at most one worker while every other
-//    stream's group proceeds on the rest.
-//  - Per-stream pending-refit work is bounded: a streaming_diagnoser has
-//    at most one refit computing plus one queued freshest-window snapshot
-//    (see subspace/online.h), so a stream that triggers refits faster
-//    than they fit degrades to refitting at fit speed instead of piling
-//    tasks onto the shared pool.
-//  - Before sharding a batch, the server resolves -- on the *calling*
-//    thread -- any refit wait already due within the batch (the
-//    stream_detector::prepare_pushes drain hook), so in the common case
-//    no pool worker ever parks on a refit future and a straggling fit
-//    delays only its own stream. (A refit both triggered and falling due
-//    inside one batch can still briefly park its worker; the pool's
-//    parallel_for always leaves a worker free for queued maintenance, so
-//    that is a stall bound, never a deadlock.) Detector kernels that
-//    would shard over the pool (a blocking-mode refit, a pooled rank-1
-//    fold) are safe to reach from a sharded push: parallel_for detects it
-//    is running on a worker of its own pool and degrades to a serial
-//    loop, bit-identical by the kernels' fixed-block contract.
+// push() is the single-stream synchronous reference: one externally
+// ordered pusher per stream, result returned on the calling thread,
+// bypassing the inbox. Mixing it *concurrently* with ingest on the same
+// stream is a contract violation; mixing them sequentially -- quiesce,
+// then switch -- is fine.
+//
+// Per-stream pending-refit work is bounded: a streaming_diagnoser has at
+// most one refit computing plus one queued freshest-window snapshot (see
+// subspace/online.h), so a stream that triggers refits faster than they
+// fit degrades to refitting at fit speed instead of piling tasks onto the
+// shared pool.
 //
 // Threading contract: open/close/snapshot/restore serialize against each
-// other (a maintenance mutex); push/push_batch/stats may run concurrently
-// with each other from different threads provided no two of them touch
-// the same stream at once. ingest/ingest_batch/flush_stream may run
-// concurrently from any number of threads against any streams (that is
-// their point), but not concurrently with push/push_batch on the *same*
-// stream. An ingest sink may safely call the server's read accessors
-// (stats/stream/ingest_statistics): drains hold only the per-stream
-// drain role while applying, never a server-wide lock, and maintenance
-// operations never hold the server-wide lock while waiting for a drain
-// to finish. Do not call ingest or flush_stream from a job running on
-// the server's own pool (the drain may wait on a refit future; caller
-// threads may, and the server's own pooled drainer tasks may because
-// they hold a park permit, but ordinary jobs must not -- the pool's
-// assert_wait_allowed() enforces this at runtime), and quiesce all API
-// calls before destroying the server.
+// other (a maintenance mutex); push/stats may run concurrently with each
+// other from different threads provided no two pushes touch the same
+// stream at once. ingest/ingest_batch/flush_stream may run concurrently
+// from any number of threads against any streams (that is their point),
+// but not concurrently with push on the *same* stream. An ingest sink may
+// safely call the server's read accessors (stats/stream/
+// ingest_statistics): drains hold only the per-stream drain role while
+// applying, never a server-wide lock, and maintenance operations never
+// hold the server-wide lock while waiting for a drain to finish. Do not
+// call ingest or flush_stream from a job running on the server's own pool
+// (the drain may wait on a refit future, and no pool job ever waits --
+// thread_pool::assert_wait_allowed() enforces this at runtime), and
+// quiesce all API calls before destroying the server.
 //
 // Checkpointing: snapshot_all writes format-v3 per-stream records that
 // carry the ingest inbox's configuration and *residue* (pending,
@@ -102,7 +68,6 @@
 // measurement/stream_checkpoint.h.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -146,14 +111,6 @@ struct ingest_options {
     // true: ingesting callers opportunistically drain (one at a time).
     // false: bins accumulate until flush_stream() or close_stream().
     bool auto_drain = true;
-    // With auto_drain: enqueue-side drains are handed to a dedicated
-    // task on the server's pool (under a park permit from the pool's
-    // parked-worker budget) instead of running on the ingesting caller.
-    // Falls back to caller-thread draining whenever no permit or pool is
-    // available; never affects results, only who pays the drain latency.
-    // Runtime wiring like the sink: not serialized by checkpoints, so a
-    // restored stream drains on caller threads.
-    bool pooled_drainer = false;
     ingest_sink sink;
 };
 
@@ -193,10 +150,11 @@ struct ingest_stats {
     // Ingest-to-applied latency: monotone-clock interval from a bin's
     // enqueue into the inbox to the completion of its detector apply,
     // over this stream's applied bins. Percentiles come from a fixed
-    // log2-domain histogram (stats/histogram.h) -- each reported value
-    // is the upper edge of its quarter-log2 bucket, an upper bound with
-    // <= ~19% relative slack -- while max is exact. All zero until the
-    // first bin is applied.
+    // log2-domain histogram (stats/histogram.h): each reported value is
+    // the upper edge of its quarter-log2 bucket (<= ~19% relative slack
+    // above the true quantile), clamped to the exact max, so
+    // p50 <= p99 <= max always holds. All zero until the first bin is
+    // applied.
     std::uint64_t latency_count = 0;  // bins the histogram has seen
     double latency_p50_ms = 0.0;
     double latency_p99_ms = 0.0;
@@ -261,31 +219,14 @@ public:
     // unknown id.
     void close_stream(stream_id id);
 
-    // --- Ordered edge -----------------------------------------------------
+    // --- Synchronous reference push ---------------------------------------
 
-    // Pushes one bin to one stream on the calling thread. Throws
-    // std::invalid_argument on an unknown id or a width mismatch.
+    // Pushes one bin to one stream on the calling thread, bypassing the
+    // inbox. Throws std::invalid_argument on an unknown id or a width
+    // mismatch.
     detection_result push(stream_id id, std::span<const double> y);
 
-    // One batch entry: a bin destined for a stream. The span must stay
-    // valid for the duration of the push_batch call.
-    struct stream_bin {
-        stream_id id = 0;
-        std::span<const double> y;
-    };
-
-    // Pushes a batch, sharding per-stream groups across the pool (round
-    // robin; see the fairness policy above). Entries for the same stream
-    // are applied in batch order. Results are returned in batch order and
-    // are bit-identical for every pool size. Throws std::invalid_argument
-    // if any id is unknown or any bin's width does not match its stream's
-    // dimension -- validated up front, so a batch that fails validation
-    // pushes nothing. (A *detector* error surfacing mid-batch -- e.g. a
-    // background refit that failed -- still propagates after other
-    // streams' bins were applied; only validation is all-or-nothing.)
-    std::vector<detection_result> push_batch(std::span<const stream_bin> bins);
-
-    // --- Concurrent (inbox) edge ------------------------------------------
+    // --- Ingest -----------------------------------------------------------
 
     // Enqueues one bin into the stream's inbox; any number of threads may
     // ingest into the same stream concurrently. The returned sequence is
@@ -311,8 +252,8 @@ public:
 
     // flush_stream over every open stream (drain-role-correct: each
     // stream is flushed through the same claim/hand-over protocol as
-    // flush_stream, so it composes with concurrent drains, producers and
-    // pooled drainer tasks). Streams closed concurrently are skipped;
+    // flush_stream, so it composes with concurrent drains and
+    // producers). Streams closed concurrently are skipped;
     // streams opened concurrently may or may not be flushed. Rethrows
     // detector errors like flush_stream.
     void flush_all();
@@ -359,8 +300,8 @@ public:
     // saved, NOT drained) around the detector state -- plus a manifest
     // binding ids to files. Detector maintenance is drained first, so the
     // bytes are independent of pool size and timing. Quiesces each
-    // stream in turn (its ingest edge via the entry lock + drain role,
-    // its ordered edge via the server lock around the save) rather than
+    // stream in turn (ingest via the entry lock + drain role, push()
+    // via the server lock around the save) rather than
     // freezing the whole server at once, so an in-flight drain whose
     // sink calls back into the server can always finish. Streams opened
     // concurrently with the snapshot may or may not be included; streams
@@ -424,11 +365,6 @@ private:
                                                     std::uint64_t start_sequence);
     std::shared_ptr<stream_entry> find_entry(stream_id id) const;
     std::shared_ptr<stream_entry> entry_or_throw(stream_id id) const;
-    // Hands an auto-drain to a pooled drainer task when the stream opted
-    // in and a park permit is available. Returns false when the caller
-    // must drain itself (no pool, zero budget, permits exhausted, or the
-    // submission failed).
-    bool maybe_schedule_pooled_drainer(const std::shared_ptr<stream_entry>& e);
     std::unique_ptr<stream_detector> build_detector(stream_open_config&& cfg);
     stream_id register_stream(std::unique_ptr<stream_detector> detector,
                               ingest_options&& ingest);
@@ -453,23 +389,9 @@ private:
     // mu_; nothing acquires an entry lock or a drain role while holding
     // mu_.
     sync::mutex maint_mu_ NETDIAG_ACQUIRED_BEFORE(mu_);
-    // Serializes the sharded phase of concurrent push_batch calls. One
-    // batch's parallel_for submits at most size-1-park_budget helper
-    // jobs, which together with the pool's park budget (at most
-    // park_budget workers parked in pooled drainer tasks) leaves at
-    // least one worker free -- that shared accounting is what guarantees
-    // maintenance tasks and nested detector kernels queued by the batch
-    // always make progress; two interleaved batch dispatches could park
-    // every worker at once, so they take turns here instead. (Caller-
-    // thread ingest drains are outside this budget entirely; pooled
-    // drainers are inside it via their park permits.)
-    sync::mutex dispatch_mu_;
     // Ordered so snapshot_all and stream_ids() enumerate deterministically.
     std::map<stream_id, std::shared_ptr<stream_entry>> streams_ NETDIAG_GUARDED_BY(mu_);
     stream_id next_id_ NETDIAG_GUARDED_BY(mu_) = 1;
-    // Round-robin offset across batches; atomic because concurrent
-    // push_batch calls (shared lock) both advance it.
-    std::atomic<std::size_t> shard_rotation_{0};
 };
 
 }  // namespace netdiag

@@ -1,7 +1,6 @@
 #include "subspace/online.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -99,26 +98,11 @@ detection_result streaming_diagnoser::push_bin(std::span<const double> y) {
 }
 
 void streaming_diagnoser::maybe_apply_swap() {
-    if (!refit_pending()) return;
-    if (cfg_.mode == refit_mode::deferred) {
-        // Fixed bin boundary: the swap is a function of the stream alone.
-        if (processed_ < swap_at_) return;
-        apply_swap(take_pending());
-        return;
-    }
-    // Eager: swap at the first push that finds the fit finished. Empty
-    // the ready slot *before* applying: apply_swap may launch a queued
-    // refit, and without a pool that fit lands back in ready_ -- a reset
-    // afterwards would destroy it (and silently drop the queued refit).
-    if (ready_.has_value()) {
-        volume_anomaly_diagnoser next = std::move(*ready_);
-        ready_.reset();
-        apply_swap(std::move(next));
-        return;
-    }
-    if (inflight_.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-        apply_swap(inflight_.get());
-    }
+    // Only deferred refits are ever pending (blocking ones swap inline at
+    // the trigger), and they swap at a fixed bin boundary: the swap is a
+    // function of the stream alone.
+    if (!refit_pending() || processed_ < swap_at_) return;
+    apply_swap(take_pending());
 }
 
 void streaming_diagnoser::trigger_refit() {
@@ -162,18 +146,6 @@ void streaming_diagnoser::launch_refit(matrix&& snapshot) {
         // boundary so results match the pooled runs bit-for-bit.
         ready_ = fit();
     }
-}
-
-void streaming_diagnoser::prepare_pushes(std::size_t bins) {
-    pusher_cap_.assert_held();
-    if (cfg_.mode != refit_mode::deferred || !inflight_.valid()) return;
-    // The swap applies at the push whose entry count reaches swap_at_;
-    // the coming pushes enter at processed_ .. processed_ + bins - 1.
-    if (processed_ + bins <= swap_at_) return;
-    // The deferred swap boundary is a blocking wait on a pool task: legal
-    // on a caller thread, and on a pool worker only under a park permit.
-    thread_pool::assert_wait_allowed();
-    ready_ = inflight_.get();
 }
 
 volume_anomaly_diagnoser streaming_diagnoser::take_pending() {
@@ -281,7 +253,7 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     cfg.separation.min_normal_axes = ckpt::read_u64(in);
     if (ckpt::read_flag(in)) cfg.separation.fixed_rank = ckpt::read_u64(in);
     const std::uint64_t mode = ckpt::read_u64(in);
-    if (mode > static_cast<std::uint64_t>(refit_mode::eager)) {
+    if (mode > static_cast<std::uint64_t>(refit_mode::deferred)) {
         throw std::runtime_error("streaming_diagnoser::restore: malformed refit mode");
     }
     cfg.mode = static_cast<refit_mode>(mode);

@@ -61,11 +61,6 @@ enum class refit_mode {
     // stream. Without a pool the fit runs inline but the swap still
     // honours the boundary, so results match any pool size bit-for-bit.
     deferred,
-    // Lowest latency-to-freshness: the swap is applied at the first push
-    // that finds the background fit finished. Push never blocks, but the
-    // swap bin depends on thread timing -- use deferred when replays must
-    // be reproducible.
-    eager,
 };
 
 struct streaming_config {
@@ -74,7 +69,7 @@ struct streaming_config {
     double confidence = 0.999;
     separation_config separation;
     // Non-owning; when set, blocking-mode refits shard their fit across
-    // the pool while deferred/eager refits run on it as background tasks.
+    // the pool while deferred refits run on it as background tasks.
     // Must outlive the diagnoser.
     thread_pool* pool = nullptr;
     refit_mode mode = refit_mode::blocking;
@@ -136,17 +131,6 @@ public:
     }
     const volume_anomaly_diagnoser& current() const noexcept { return diagnoser_; }
 
-    // When a background refit (or a finished one awaiting its deferred
-    // boundary) will swap within the next `bins` pushes, resolves the wait
-    // now on the calling thread: the fit result is collected into the
-    // ready slot so the swap itself never blocks. This is the
-    // stream_detector drain hook the multi-stream server calls before
-    // sharding a batch across the pool and before an ingest-inbox drain
-    // burst -- a pool worker must never park on a refit future (see
-    // serve/stream_server.h). Deterministic: only *where* the wait
-    // happens moves, never the swap bin. No-op in blocking/eager modes.
-    void prepare_pushes(std::size_t bins) override;
-
 private:
     struct restored_state;  // defined in online.cpp
     explicit streaming_diagnoser(restored_state&& state);
@@ -158,7 +142,7 @@ private:
     volume_anomaly_diagnoser take_pending() NETDIAG_REQUIRES(pusher_cap_);
 
     // The single-pusher contract as a capability: push/push_bin/drain/
-    // save/prepare_pushes must come from one thread at a time (the
+    // save must come from one thread at a time (the
     // stream_detector contract), so the window and the deferred-refit
     // slots below are confined to whoever plays that role. Entry points
     // assert it; the background fit task touches none of these fields

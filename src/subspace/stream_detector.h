@@ -53,17 +53,6 @@ public:
     // against: 0 is the bootstrap model, +1 per applied swap or fold.
     virtual std::uint64_t model_epoch() const noexcept = 0;
 
-    // Drain hook for batched/inbox-fed pushes: resolves -- on the calling
-    // thread -- any maintenance wait that will fall due within the next
-    // `bins` push_bin calls, so whoever applies those bins (a sharded
-    // push_batch worker, an ingest-inbox drainer) never parks on a
-    // background task's future. Deterministic by contract: implementations
-    // may only move *where* a wait happens, never which bin a model swap
-    // applies at. The default is a no-op; detectors whose pushes can wait
-    // on pool tasks (streaming_diagnoser's deferred swap boundary)
-    // override it.
-    virtual void prepare_pushes(std::size_t bins) { (void)bins; }
-
     // Blocks until in-flight background maintenance has finished
     // computing. A deferred snapshot still waits for its scheduled bin
     // boundary; drain() only guarantees no worker is touching this

@@ -27,6 +27,11 @@ const preset_case k_cases[] = {
     {"Abilene", &make_abilene_dataset, 8e7},
 };
 
+// gtest would otherwise print the raw bytes of the case, pointers included,
+// so `--gtest_list_tests` (and the ctest names discovered from it) would
+// change with every process's address-space layout.
+void PrintTo(const preset_case& c, std::ostream* os) { *os << c.name; }
+
 // Datasets are expensive to generate; cache them per test process.
 const dataset& cached_dataset(const preset_case& c) {
     static std::map<std::string, dataset> cache;

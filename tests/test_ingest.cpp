@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "engine/mpsc_inbox.h"
-#include "engine/tuning.h"
 #include "measurement/link_loads.h"
 #include "measurement/stream_checkpoint.h"
 #include "serve/stream_server.h"
@@ -304,17 +303,11 @@ struct sink_capture {
 // ---------------------------------------------------------------------------
 
 TEST_F(IngestFixture, SingleProducerIngestMatchesPushForEveryRefitModeAndPoolSize) {
-    for (const refit_mode mode :
-         {refit_mode::blocking, refit_mode::deferred, refit_mode::eager}) {
-        // Eager swaps at a timing-dependent bin; draining after every bin
-        // pins the swap to the next bin on both sides (same device as the
-        // ordered-edge parity test).
-        const bool drain_each = mode == refit_mode::eager;
+    for (const refit_mode mode : {refit_mode::blocking, refit_mode::deferred}) {
         const auto reference = standalone(stream_kind::diagnoser, 0, mode);
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
-            if (drain_each) reference->drain();
         }
 
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
@@ -329,10 +322,6 @@ TEST_F(IngestFixture, SingleProducerIngestMatchesPushForEveryRefitModeAndPoolSiz
                 const ingest_result res = server.ingest(id, y_.row(r));
                 ASSERT_TRUE(res.ok());
                 ASSERT_EQ(res.sequence, r - k_boot);
-                if (drain_each) {
-                    server.flush_stream(id);
-                    server.drain_all();
-                }
             }
             server.flush_stream(id);
             ASSERT_EQ(capture.results.size(), expected.size());
@@ -357,10 +346,7 @@ TEST_F(IngestFixture, SingleProducerIngestMatchesPushForEveryRefitModeAndPoolSiz
 // The acceptance-criterion stress: N >= 4 producers hammer one stream
 // concurrently; the applied output must be bit-identical to a standalone
 // single-pusher detector replaying the bins in inbox sequence order, for
-// every refit mode at pool sizes {0, 1, 2, 8}. Eager mode's swap bin is
-// timing-dependent by design when a pool is present, so its parity leg
-// runs where it is deterministic (pool 0) and the pooled legs check the
-// ordering/conservation invariants instead.
+// every refit mode at pool sizes {0, 1, 2, 8}.
 // ---------------------------------------------------------------------------
 
 TEST_F(IngestFixture, FourProducerStressMatchesStandaloneReplayInSequenceOrder) {
@@ -375,7 +361,6 @@ TEST_F(IngestFixture, FourProducerStressMatchesStandaloneReplayInSequenceOrder) 
     const leg legs[] = {
         {stream_kind::diagnoser, refit_mode::blocking},
         {stream_kind::diagnoser, refit_mode::deferred},
-        {stream_kind::diagnoser, refit_mode::eager},
         {stream_kind::tracking, refit_mode::deferred},
     };
 
@@ -443,227 +428,24 @@ TEST_F(IngestFixture, FourProducerStressMatchesStandaloneReplayInSequenceOrder) 
             ASSERT_EQ(server.stats(id).processed, k_total);
 
             // Bit-exact replay against a standalone single-pusher twin fed
-            // in sequence order -- wherever the mode is deterministic.
-            const bool deterministic = l.mode != refit_mode::eager || threads == 0;
-            if (deterministic) {
-                const auto twin = standalone(l.kind, 0, l.mode);
-                std::size_t alarms = 0;
-                for (std::size_t i = 0; i < k_total; ++i) {
-                    const detection_result want = twin->push_bin(y_.row(row_of[i]));
-                    if (want.anomalous) ++alarms;
-                    expect_same_detection(
-                        want, capture.results[i].second,
-                        "kind " + std::to_string(static_cast<int>(l.kind)) + " mode " +
-                            std::to_string(static_cast<int>(l.mode)) + " threads " +
-                            std::to_string(threads) + " seq " + std::to_string(i));
-                }
-                twin->drain();
-                EXPECT_EQ(server.stats(id).alarms, twin->alarm_count());
-                EXPECT_EQ(server.stats(id).epoch, twin->model_epoch());
-                EXPECT_EQ(server.stats(id).alarms, alarms);
-            } else {
-                // Pooled eager leg: the swap bin is timing-dependent, so
-                // check the invariants that hold regardless.
-                std::size_t alarms = 0;
-                for (const auto& [seq, r] : capture.results) {
-                    EXPECT_GE(r.spe, 0.0);
-                    EXPECT_TRUE(r.threshold > 0.0 || std::isinf(r.threshold));
-                    if (r.anomalous) ++alarms;
-                }
-                EXPECT_EQ(server.stats(id).alarms, alarms);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pooled drainer tasks: same parity contract, drains decoupled from the
-// producers' call cadence by dedicated pool tasks under the parked-worker
-// budget (engine/thread_pool.h). Pool sizes 0 and 1 clamp the budget to
-// zero, exercising the caller-drain fallback behind the same option.
-// ---------------------------------------------------------------------------
-
-TEST_F(IngestFixture, PooledDrainerMatchesPushForEveryRefitModeAndPoolSize) {
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 2;
-
-    for (const refit_mode mode :
-         {refit_mode::blocking, refit_mode::deferred, refit_mode::eager}) {
-        const bool drain_each = mode == refit_mode::eager;
-        const auto reference = standalone(stream_kind::diagnoser, 0, mode);
-        std::vector<detection_result> expected;
-        for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
-            expected.push_back(reference->push_bin(y_.row(r)));
-            if (drain_each) reference->drain();
-        }
-
-        for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
-            stream_server server({.threads = threads});
-            sink_capture capture;
-            ingest_options ingest;
-            ingest.capacity = 64;
-            ingest.pooled_drainer = true;
-            ingest.sink = capture.fn();
-            const stream_id id = server.open_stream(
-                open_config(stream_kind::diagnoser, 0, mode, std::move(ingest)));
-            for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
-                const ingest_result res = server.ingest(id, y_.row(r));
-                ASSERT_TRUE(res.ok());
-                ASSERT_EQ(res.sequence, r - k_boot);
-                if (drain_each) {
-                    server.flush_stream(id);
-                    server.drain_all();
-                }
-            }
-            server.flush_stream(id);
-            ASSERT_EQ(capture.results.size(), expected.size());
-            for (std::size_t i = 0; i < expected.size(); ++i) {
-                ASSERT_EQ(capture.results[i].first, i);
-                expect_same_detection(expected[i], capture.results[i].second,
-                                      "pooled mode " +
-                                          std::to_string(static_cast<int>(mode)) +
-                                          " threads " + std::to_string(threads) +
-                                          " bin " + std::to_string(i));
-            }
-            const ingest_stats st = server.ingest_statistics(id);
-            EXPECT_EQ(st.accepted, expected.size());
-            EXPECT_EQ(st.applied, expected.size());
-            EXPECT_EQ(st.pending, 0u);
-            EXPECT_EQ(st.latency_count, expected.size());
-            EXPECT_EQ(server.stats(id).alarms, reference->alarm_count());
-            EXPECT_EQ(server.stats(id).epoch, reference->model_epoch());
-        }
-    }
-}
-
-TEST_F(IngestFixture, FourProducerPooledDrainerStressReplaysInSequenceOrder) {
-    constexpr std::size_t k_producers = 4;
-    constexpr std::size_t k_per_producer = 25;
-    constexpr std::size_t k_total = k_producers * k_per_producer;
-
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 2;
-
-    struct leg {
-        stream_kind kind;
-        refit_mode mode;  // diagnoser only
-    };
-    const leg legs[] = {
-        {stream_kind::diagnoser, refit_mode::blocking},
-        {stream_kind::diagnoser, refit_mode::deferred},
-        {stream_kind::tracking, refit_mode::deferred},
-    };
-
-    for (const leg& l : legs) {
-        for (const std::size_t threads : {2u, 8u}) {
-            stream_server server({.threads = threads});
-            sink_capture capture;
-            ingest_options ingest;
-            ingest.capacity = 128;
-            ingest.policy = inbox_policy::block;
-            ingest.pooled_drainer = true;
-            ingest.sink = capture.fn();
-            const stream_id id =
-                server.open_stream(open_config(l.kind, 0, l.mode, std::move(ingest)));
-
-            std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> seq_rows(
-                k_producers);
-            std::vector<std::thread> producers;
-            for (std::size_t p = 0; p < k_producers; ++p) {
-                producers.emplace_back([&, p] {
-                    for (std::size_t i = 0; i < k_per_producer; ++i) {
-                        const std::size_t row = k_boot + p * k_per_producer + i;
-                        const ingest_result r = server.ingest(id, y_.row(row));
-                        ASSERT_TRUE(r.ok()) << "producer " << p << " bin " << i;
-                        seq_rows[p].emplace_back(r.sequence, row);
-                    }
-                });
-            }
-            for (std::thread& t : producers) t.join();
-            server.flush_stream(id);
-            server.drain_all();
-
-            std::vector<std::size_t> row_of(k_total, 0);
-            std::vector<bool> seen(k_total, false);
-            for (std::size_t p = 0; p < k_producers; ++p) {
-                for (const auto& [seq, row] : seq_rows[p]) {
-                    ASSERT_LT(seq, k_total);
-                    ASSERT_FALSE(seen[seq]) << "duplicate sequence " << seq;
-                    seen[seq] = true;
-                    row_of[seq] = row;
-                }
-            }
-
-            const ingest_stats st = server.ingest_statistics(id);
-            ASSERT_EQ(st.accepted, k_total);
-            ASSERT_EQ(st.applied, k_total);
-            ASSERT_EQ(st.dropped, 0u);
-            ASSERT_EQ(st.pending, 0u);
-            ASSERT_EQ(st.latency_count, k_total);
-            ASSERT_EQ(capture.results.size(), k_total);
-            for (std::size_t i = 0; i < k_total; ++i) {
-                ASSERT_EQ(capture.results[i].first, i) << "sink out of sequence order";
-            }
-
+            // in sequence order.
             const auto twin = standalone(l.kind, 0, l.mode);
+            std::size_t alarms = 0;
             for (std::size_t i = 0; i < k_total; ++i) {
+                const detection_result want = twin->push_bin(y_.row(row_of[i]));
+                if (want.anomalous) ++alarms;
                 expect_same_detection(
-                    twin->push_bin(y_.row(row_of[i])), capture.results[i].second,
-                    "pooled kind " + std::to_string(static_cast<int>(l.kind)) +
-                        " mode " + std::to_string(static_cast<int>(l.mode)) +
-                        " threads " + std::to_string(threads) + " seq " +
-                        std::to_string(i));
+                    want, capture.results[i].second,
+                    "kind " + std::to_string(static_cast<int>(l.kind)) + " mode " +
+                        std::to_string(static_cast<int>(l.mode)) + " threads " +
+                        std::to_string(threads) + " seq " + std::to_string(i));
             }
             twin->drain();
             EXPECT_EQ(server.stats(id).alarms, twin->alarm_count());
             EXPECT_EQ(server.stats(id).epoch, twin->model_epoch());
+            EXPECT_EQ(server.stats(id).alarms, alarms);
         }
     }
-}
-
-TEST_F(IngestFixture, PooledDrainerErrorSurfacesOnIngestOrFlushAndStaysConserved) {
-    // A pooled drainer has no caller to throw to; a detector error must
-    // park and surface on the stream's next ingest or flush -- never
-    // vanish -- and the conservation invariant must survive it.
-    const scoped_tuning tuned;
-    global_tuning().pool_park_budget = 1;
-    stream_server server({.threads = 2});
-
-    ingest_options ingest;
-    ingest.capacity = 16;
-    ingest.pooled_drainer = true;
-    stream_open_config cfg =
-        open_config(stream_kind::diagnoser, 0, refit_mode::blocking, std::move(ingest));
-    cfg.streaming.refit_interval = 3;
-    cfg.streaming.refit_observer = [] { throw std::runtime_error("fit exploded"); };
-    const stream_id id = server.open_stream(std::move(cfg));
-
-    // Bin 3 triggers the blocking refit, whose observer throws inside
-    // whichever drain applies it: a pooled drainer (error parks, ingest
-    // returns ok) or the caller-drain fallback when the budget permit is
-    // momentarily held (error throws out of ingest, like auto_drain
-    // always did).
-    bool threw_on_ingest = false;
-    for (std::size_t i = 0; i < 3; ++i) {
-        try {
-            const ingest_result r = server.ingest(id, y_.row(k_boot + i));
-            ASSERT_TRUE(r.ok());
-        } catch (const std::runtime_error&) {
-            threw_on_ingest = true;
-        }
-    }
-    if (!threw_on_ingest) {
-        EXPECT_THROW(server.flush_stream(id), std::runtime_error);
-    }
-    // The error surfaced exactly once; the stream keeps working.
-    EXPECT_NO_THROW(server.flush_stream(id));
-
-    const ingest_stats st = server.ingest_statistics(id);
-    EXPECT_EQ(st.accepted, 3u);
-    EXPECT_EQ(st.applied, 2u);
-    EXPECT_EQ(st.dropped, 1u);
-    EXPECT_EQ(st.pending, 0u);
-    EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending) << "conservation violated";
 }
 
 // Several streams fed by several producers each, over one shared pool:

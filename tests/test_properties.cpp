@@ -232,12 +232,7 @@ TEST_P(ServerSeedSweep, BinCountsConservedAndEpochsMonotonePerStream) {
         const std::size_t s = rng() % k_streams;
         const std::size_t row = cursors[s];
         cursors[s] = row + 1 < ds_.bin_count() ? row + 1 : k_boot;
-        if (rng() % 2 == 0) {
-            server.push(ids[s], ds_.link_loads.row(row));
-        } else {
-            const stream_server::stream_bin bin{ids[s], ds_.link_loads.row(row)};
-            server.push_batch(std::span(&bin, 1));
-        }
+        server.push(ids[s], ds_.link_loads.row(row));
         ++pushed[s];
 
         // Epochs never move backwards, and only maintenance can move them

@@ -1,7 +1,7 @@
-// The sharded multi-stream serving front-end: single-stream parity with
+// The multi-stream serving front-end: single-stream parity with
 // standalone detectors for every refit mode and pool size, deterministic
-// many-stream stress under a small pool, batch semantics, and
-// snapshot_all -> restore_all -> replay exactness.
+// many-stream stress under a small pool, and snapshot_all -> restore_all
+// -> replay exactness.
 #include "serve/stream_server.h"
 
 #include <gtest/gtest.h>
@@ -121,18 +121,12 @@ protected:
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, DiagnoserParityForEveryRefitModeAndPoolSize) {
-    for (const refit_mode mode :
-         {refit_mode::blocking, refit_mode::deferred, refit_mode::eager}) {
-        // Eager swaps at a timing-dependent bin; draining after every push
-        // pins the swap to the next bin on both sides, making the
-        // comparison exact there too.
-        const bool drain_each = mode == refit_mode::eager;
+    for (const refit_mode mode : {refit_mode::blocking, refit_mode::deferred}) {
         const auto reference = standalone(stream_kind::diagnoser, 0, mode);
 
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
-            if (drain_each) reference->drain();
         }
 
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
@@ -145,7 +139,6 @@ TEST_F(StreamServerFixture, DiagnoserParityForEveryRefitModeAndPoolSize) {
                                       "mode " + std::to_string(static_cast<int>(mode)) +
                                           " threads " + std::to_string(threads) + " bin " +
                                           std::to_string(r));
-                if (drain_each) server.drain_all();
             }
             EXPECT_EQ(server.stats(id).epoch, reference->model_epoch())
                 << "threads " << threads;
@@ -180,122 +173,10 @@ TEST_F(StreamServerFixture, TrackingAndTrackerParityAcrossPoolSizes) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch semantics.
-// ---------------------------------------------------------------------------
-
-TEST_F(StreamServerFixture, PushBatchMatchesSequentialPushesBitForBit) {
-    // Three streams of different kinds; batches interleave them and repeat
-    // the same stream within one batch (order within a stream must be the
-    // batch order).
-    for (const std::size_t threads : {0u, 2u}) {
-        stream_server server({.threads = threads});
-        stream_server sequential({.threads = 0});
-        std::vector<stream_id> ids, seq_ids;
-        for (const stream_kind kind :
-             {stream_kind::diagnoser, stream_kind::tracking, stream_kind::tracker}) {
-            ids.push_back(server.open_stream(open_config(kind, 10)));
-            seq_ids.push_back(sequential.open_stream(open_config(kind, 10)));
-        }
-
-        std::size_t cursor = k_boot + 10;
-        for (std::size_t round = 0; round < 12; ++round) {
-            // Batch: two bins for stream 0, one for 1, one for 2.
-            std::vector<stream_server::stream_bin> batch;
-            batch.push_back({ids[0], y_.row(cursor)});
-            batch.push_back({ids[1], y_.row(cursor)});
-            batch.push_back({ids[0], y_.row(cursor + 1)});
-            batch.push_back({ids[2], y_.row(cursor)});
-            const std::vector<detection_result> got = server.push_batch(batch);
-            ASSERT_EQ(got.size(), batch.size());
-
-            std::vector<detection_result> want;
-            want.push_back(sequential.push(seq_ids[0], y_.row(cursor)));
-            want.push_back(sequential.push(seq_ids[1], y_.row(cursor)));
-            want.push_back(sequential.push(seq_ids[0], y_.row(cursor + 1)));
-            want.push_back(sequential.push(seq_ids[2], y_.row(cursor)));
-            for (std::size_t i = 0; i < want.size(); ++i) {
-                expect_same_detection(want[i], got[i],
-                                      "threads " + std::to_string(threads) + " round " +
-                                          std::to_string(round) + " item " +
-                                          std::to_string(i));
-            }
-            cursor += 2;
-        }
-        for (std::size_t s = 0; s < ids.size(); ++s) {
-            EXPECT_EQ(server.stats(ids[s]).processed, sequential.stats(seq_ids[s]).processed);
-            EXPECT_EQ(server.stats(ids[s]).epoch, sequential.stats(seq_ids[s]).epoch);
-        }
-    }
-}
-
-TEST_F(StreamServerFixture, BlockingModeStreamsInPooledBatchesStayBitIdentical) {
-    // A blocking-mode refit that fires inside a sharded batch runs its
-    // fit on a pool worker; the worker-side parallel_for degradation must
-    // keep the result bit-identical to the standalone serial detector and
-    // the batch must complete (no nested-dispatch deadlock). Mix in a
-    // second blocking stream and a tracking stream so the sharded path is
-    // taken and refits land on workers, repeatedly crossing the
-    // refit_interval (9) during the run.
-    const auto ref_a = standalone(stream_kind::diagnoser, 0, refit_mode::blocking);
-    const auto ref_b = standalone(stream_kind::diagnoser, 30, refit_mode::blocking);
-    const auto ref_c = standalone(stream_kind::tracking, 15);
-
-    for (const std::size_t threads : {2u, 8u}) {
-        stream_server server({.threads = threads});
-        const stream_id a =
-            server.open_stream(open_config(stream_kind::diagnoser, 0, refit_mode::blocking));
-        const stream_id b =
-            server.open_stream(open_config(stream_kind::diagnoser, 30, refit_mode::blocking));
-        const stream_id c = server.open_stream(open_config(stream_kind::tracking, 15));
-
-        for (std::size_t r = 0; r < 30; ++r) {
-            const std::vector<stream_server::stream_bin> batch = {
-                {a, y_.row(k_boot + r)},
-                {b, y_.row(k_boot + 30 + r)},
-                {c, y_.row(k_boot + 15 + r)},
-            };
-            const std::vector<detection_result> got = server.push_batch(batch);
-            if (threads == 2) {  // build the reference once, on the first pool size
-                expect_same_detection(ref_a->push_bin(y_.row(k_boot + r)), got[0],
-                                      "a bin " + std::to_string(r));
-                expect_same_detection(ref_b->push_bin(y_.row(k_boot + 30 + r)), got[1],
-                                      "b bin " + std::to_string(r));
-                expect_same_detection(ref_c->push_bin(y_.row(k_boot + 15 + r)), got[2],
-                                      "c bin " + std::to_string(r));
-            }
-        }
-        server.drain_all();
-        EXPECT_EQ(server.stats(a).epoch, ref_a->model_epoch()) << "threads " << threads;
-        EXPECT_EQ(server.stats(b).epoch, ref_b->model_epoch()) << "threads " << threads;
-        EXPECT_EQ(server.stats(a).alarms, ref_a->alarm_count()) << "threads " << threads;
-    }
-}
-
-TEST_F(StreamServerFixture, PushBatchValidatesEveryBinBeforePushingAnything) {
-    stream_server server({.threads = 0});
-    const stream_id id = server.open_stream(open_config(stream_kind::tracker, 0));
-
-    // Unknown id: nothing is pushed.
-    std::vector<stream_server::stream_bin> batch;
-    batch.push_back({id, y_.row(k_boot)});
-    batch.push_back({id + 999, y_.row(k_boot)});
-    EXPECT_THROW(server.push_batch(batch), std::invalid_argument);
-    EXPECT_EQ(server.stats(id).processed, 0u) << "a bin was pushed despite the bad batch";
-
-    // Width mismatch anywhere in the batch: nothing is pushed either --
-    // a partially applied batch would break the stream's replay parity.
-    const std::vector<double> narrow(y_.cols() - 1, 0.0);
-    batch.clear();
-    batch.push_back({id, y_.row(k_boot)});
-    batch.push_back({id, narrow});
-    EXPECT_THROW(server.push_batch(batch), std::invalid_argument);
-    EXPECT_EQ(server.stats(id).processed, 0u) << "a bin was pushed despite the bad width";
-}
-
-// ---------------------------------------------------------------------------
 // Deterministic N-stream stress: 32 streams of mixed kinds over a small
-// pool, interleaved push / push_batch / close / open driven by a fixed
-// seed, every output compared bit-for-bit against standalone shadows.
+// pool, interleaved single pushes / multi-stream bursts / close / open
+// driven by a fixed seed, every output compared bit-for-bit against
+// standalone shadows.
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, ThirtyTwoStreamSeededStressMatchesShadows) {
@@ -341,22 +222,14 @@ TEST_F(StreamServerFixture, ThirtyTwoStreamSeededStressMatchesShadows) {
             const detection_result want = s.twin->push_bin(y_.row(row));
             expect_same_detection(want, got, "step " + std::to_string(step));
         } else if (roll < 85 && !live.empty()) {
-            // Batch across up to 8 distinct streams.
-            const std::size_t batch_streams = 1 + rng() % std::min<std::size_t>(8, live.size());
-            std::vector<std::size_t> picks;
-            for (std::size_t b = 0; b < batch_streams; ++b) picks.push_back(rng() % live.size());
-            std::vector<stream_server::stream_bin> batch;
-            std::vector<std::size_t> rows;
-            for (const std::size_t p : picks) {
-                const std::size_t row = next_row(live[p]);
-                rows.push_back(row);
-                batch.push_back({live[p].id, y_.row(row)});
-            }
-            const std::vector<detection_result> got = server.push_batch(batch);
-            ASSERT_EQ(got.size(), batch.size());
-            for (std::size_t b = 0; b < picks.size(); ++b) {
-                const detection_result want = live[picks[b]].twin->push_bin(y_.row(rows[b]));
-                expect_same_detection(want, got[b],
+            // Burst across up to 8 streams (repeats allowed), one push each.
+            const std::size_t burst = 1 + rng() % std::min<std::size_t>(8, live.size());
+            for (std::size_t b = 0; b < burst; ++b) {
+                shadow& s = live[rng() % live.size()];
+                const std::size_t row = next_row(s);
+                const detection_result got = server.push(s.id, y_.row(row));
+                const detection_result want = s.twin->push_bin(y_.row(row));
+                expect_same_detection(want, got,
                                       "step " + std::to_string(step) + " item " +
                                           std::to_string(b));
             }
@@ -412,25 +285,15 @@ TEST_F(StreamServerFixture, ConcurrentPushersOnDisjointStreamsMatchShadows) {
         }
     }
 
-    // Each pusher interleaves single pushes and same-thread batches over
-    // its own streams; results are recorded for post-join verification.
+    // Each pusher round-robins its own streams, one push per stream per
+    // bin; results are recorded for post-join verification.
     std::vector<std::vector<detection_result>> recorded(k_threads);
     std::vector<std::thread> pushers;
     for (std::size_t t = 0; t < k_threads; ++t) {
         pushers.emplace_back([&, t] {
             for (std::size_t b = 0; b < k_bins; ++b) {
-                if (b % 3 == 0) {
-                    // Batch across this thread's streams.
-                    std::vector<stream_server::stream_bin> batch;
-                    for (const owned_stream& os : owned[t]) {
-                        batch.push_back({os.id, y_.row(os.boot + k_boot + b)});
-                    }
-                    const auto results = server.push_batch(batch);
-                    recorded[t].insert(recorded[t].end(), results.begin(), results.end());
-                } else {
-                    for (const owned_stream& os : owned[t]) {
-                        recorded[t].push_back(server.push(os.id, y_.row(os.boot + k_boot + b)));
-                    }
+                for (const owned_stream& os : owned[t]) {
+                    recorded[t].push_back(server.push(os.id, y_.row(os.boot + k_boot + b)));
                 }
             }
         });
@@ -574,15 +437,12 @@ TEST_F(StreamServerFixture, StreamIdsAreNeverReused) {
 // ---------------------------------------------------------------------------
 
 TEST_F(StreamServerFixture, MigrationParityForEveryRefitModeAndPoolSize) {
-    for (const refit_mode mode :
-         {refit_mode::blocking, refit_mode::deferred, refit_mode::eager}) {
-        const bool drain_each = mode == refit_mode::eager;  // pin eager's swap bin
+    for (const refit_mode mode : {refit_mode::blocking, refit_mode::deferred}) {
         const auto reference = standalone(stream_kind::diagnoser, 0, mode);
 
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot; r < k_boot + 40; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
-            if (drain_each) reference->drain();
         }
 
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
@@ -596,7 +456,6 @@ TEST_F(StreamServerFixture, MigrationParityForEveryRefitModeAndPoolSize) {
             for (std::size_t r = k_boot; r < k_boot + 20; ++r) {
                 expect_same_detection(expected[r - k_boot], source.push(id, y_.row(r)),
                                       context + " pre-move bin " + std::to_string(r));
-                if (drain_each) source.drain_all();
             }
 
             const stream_id moved = net::migrate_stream(source, id, target);
@@ -606,7 +465,6 @@ TEST_F(StreamServerFixture, MigrationParityForEveryRefitModeAndPoolSize) {
             for (std::size_t r = k_boot + 20; r < k_boot + 40; ++r) {
                 expect_same_detection(expected[r - k_boot], target.push(moved, y_.row(r)),
                                       context + " post-move bin " + std::to_string(r));
-                if (drain_each) target.drain_all();
             }
             target.drain_all();
             EXPECT_EQ(target.stats(moved).epoch, reference->model_epoch()) << context;

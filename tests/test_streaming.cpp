@@ -91,51 +91,11 @@ protected:
 
 // ---------------------------------------------------------------------------
 // Non-blocking push: the acceptance criterion. A refit the test holds
-// captive must not delay the pushes that arrive while it is in flight --
-// if push waited on the fit, the loop below would deadlock (and time out)
-// because the fit is only released after the loop completes. No wall-clock
-// assertions, so the test cannot flake on a loaded machine.
+// captive must not delay the pushes that arrive before its swap boundary
+// -- if push waited on the fit, the loop below would deadlock (and time
+// out) because the fit is only released after the loop completes. No
+// wall-clock assertions, so the test cannot flake on a loaded machine.
 // ---------------------------------------------------------------------------
-
-TEST_F(StreamingFixture, SlowBackgroundRefitDoesNotDelayDetection) {
-    thread_pool pool(2);
-    std::atomic<int> refits_started{0};
-    std::atomic<bool> release_fit{false};
-    streaming_config cfg;
-    cfg.window = 400;
-    cfg.refit_interval = 5;  // trigger quickly
-    cfg.pool = &pool;
-    cfg.mode = refit_mode::eager;
-    cfg.refit_observer = [&refits_started, &release_fit] {
-        ++refits_started;
-        while (!release_fit.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    };
-
-    streaming_diagnoser diag(bootstrap_, routing_.a, cfg);
-    for (std::size_t r = 0; r < 5; ++r) diag.push(stream_.row(r));  // fires the refit
-    ASSERT_TRUE(diag.refit_pending());
-    // Wait until the worker has actually entered the captive fit, so the
-    // pushes below provably overlap it (on a loaded machine the worker
-    // may lag the submit by many bins, which used to flake this test).
-    while (refits_started.load() == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-
-    // These bins arrive while the fit is held captive: every push must
-    // complete against the old model without touching the refit.
-    for (std::size_t r = 5; r < 35; ++r) {
-        diag.push(stream_.row(r));
-        EXPECT_EQ(diag.model_epoch(), 0u) << "swap applied while the fit is still held";
-    }
-    EXPECT_GE(refits_started.load(), 1);
-
-    // Release the fit; the next pushes apply the swap exactly once.
-    release_fit.store(true);
-    diag.drain();
-    diag.push(stream_.row(35));
-    EXPECT_EQ(diag.model_epoch(), 1u);
-    EXPECT_EQ(diag.refit_count(), 1u);
-}
 
 TEST_F(StreamingFixture, DeferredPushesBeforeBoundaryNeverWait) {
     thread_pool pool(1);
@@ -387,6 +347,56 @@ TEST_F(StreamingFixture, TrackerCheckpointReplaysExactly) {
     std::remove(path.c_str());
 }
 
+TEST_F(StreamingFixture, RestoreRejectsRefitModeTwo) {
+    // The record's refit-mode field admits only 0 (blocking) and 1
+    // (deferred). A 2 -- the retired timing-dependent swap mode -- must
+    // fail restore with the typed error, never build a diagnoser whose
+    // mode has no swap branch.
+    streaming_config cfg;
+    cfg.window = 400;
+    cfg.refit_interval = 15;
+    cfg.mode = refit_mode::deferred;
+    streaming_diagnoser live(bootstrap_, routing_.a, cfg);
+    std::ostringstream saved(std::ios::binary);
+    live.save(saved);
+    const std::string good = saved.str();
+
+    // Locate the field by writing the record's prefix with the same
+    // codec: header, window, refit interval, confidence, k-sigma, min
+    // normal axes, and the (absent) fixed-rank flag.
+    std::ostringstream prefix(std::ios::binary);
+    ckpt::write_header(prefix, "streaming_diagnoser");
+    ckpt::write_u64(prefix, cfg.window);
+    ckpt::write_u64(prefix, cfg.refit_interval);
+    ckpt::write_f64(prefix, cfg.confidence);
+    ckpt::write_f64(prefix, cfg.separation.k_sigma);
+    ckpt::write_u64(prefix, cfg.separation.min_normal_axes);
+    ckpt::write_flag(prefix, false);
+    const std::size_t mode_at = prefix.str().size();
+    std::ostringstream deferred_field(std::ios::binary);
+    ckpt::write_u64(deferred_field, static_cast<std::uint64_t>(refit_mode::deferred));
+    ASSERT_EQ(good.substr(mode_at, deferred_field.str().size()), deferred_field.str())
+        << "refit-mode field not where the format says it is";
+
+    std::ostringstream two_field(std::ios::binary);
+    ckpt::write_u64(two_field, 2);
+    std::string patched = good;
+    patched.replace(mode_at, two_field.str().size(), two_field.str());
+
+    {
+        std::istringstream in(good, std::ios::binary);
+        EXPECT_NO_THROW((void)streaming_diagnoser::restore(in));
+    }
+    std::istringstream in(patched, std::ios::binary);
+    try {
+        (void)streaming_diagnoser::restore(in);
+        FAIL() << "refit mode 2 restored";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("malformed refit mode"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST_F(StreamingFixture, CheckpointRejectsGarbage) {
     const std::string path = temp_checkpoint_path("garbage.ckpt");
     {
@@ -485,43 +495,6 @@ TEST_F(StreamingFixture, QueuedRefitCascadeIsBitIdenticalAcrossPoolSizes) {
         }
         diag.drain();
     }
-}
-
-TEST_F(StreamingFixture, EagerQueuedRefitSurvivesPoollessRestore) {
-    // Eager mode, refit held captive so a second trigger queues: after a
-    // checkpoint (which drains the captive fit into the ready slot) is
-    // restored *without* a pool, the queued fit runs inline at the swap
-    // and lands back in the ready slot -- the eager swap branch must not
-    // destroy it there (it used to reset the slot after applying, which
-    // silently dropped the queued refit and its paid-for fit).
-    thread_pool pool(2);
-    std::atomic<int> fits{0};
-    std::atomic<bool> release{false};
-    streaming_config cfg;
-    cfg.window = 400;
-    cfg.refit_interval = 5;
-    cfg.pool = &pool;
-    cfg.mode = refit_mode::eager;
-    cfg.refit_observer = [&fits, &release] {
-        if (fits.fetch_add(1) == 0) {
-            while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-    };
-
-    streaming_diagnoser live(bootstrap_, routing_.a, cfg);
-    for (std::size_t r = 0; r < 10; ++r) live.push(stream_.row(r));
-    ASSERT_TRUE(live.refit_queued()) << "second trigger should have queued";
-    release.store(true);
-
-    const std::string path = temp_checkpoint_path("eager_queued.ckpt");
-    save_stream_detector(live, path);  // drains: ready + queued both serialized
-
-    std::unique_ptr<stream_detector> restored = load_stream_detector(path);  // no pool
-    restored->push_bin(stream_.row(10));  // applies swap 1, runs the queued fit inline
-    EXPECT_EQ(restored->model_epoch(), 1u);
-    restored->push_bin(stream_.row(11));  // must find and apply the queued fit's model
-    EXPECT_EQ(restored->model_epoch(), 2u) << "queued refit was dropped at the eager swap";
-    std::remove(path.c_str());
 }
 
 TEST_F(StreamingFixture, QueuedRefitSurvivesCheckpointRoundTrip) {

@@ -32,6 +32,12 @@
 //      only under src/net/. Everything else speaks the wire protocol
 //      through net::tcp_socket and friends, so portability shims and
 //      SO_* option handling stay in one reviewed place.
+//  R7  Annotated locking: the raw standard lock guards (std::lock_guard,
+//      std::unique_lock, std::shared_lock, std::scoped_lock) are allowed
+//      only in src/engine/sync.h, which wraps them. Everywhere else locks
+//      go through sync::mutex_lock / sync::shared_lock / ..., the
+//      wrappers Clang Thread Safety Analysis can see; a raw guard
+//      silently takes a lock the analysis never checks.
 //
 // Scanning is token-based on comment- and string-stripped source, so a
 // comment saying "no std::thread here" does not trip R1. R5 and R6 scan
@@ -289,6 +295,28 @@ void check_r6(const std::string& relpath, const std::vector<std::string>& raw_li
     }
 }
 
+// --- R7: annotated locking --------------------------------------------------
+
+const char* const k_r7_tokens[] = {
+    "std::lock_guard", "std::unique_lock", "std::shared_lock", "std::scoped_lock",
+};
+
+void check_r7(const std::string& relpath, const std::vector<std::string>& lines,
+              std::vector<violation>& out) {
+    if (relpath == "src/engine/sync.h") return;  // the one allowed home
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        for (const char* token : k_r7_tokens) {
+            if (has_token(lines[i], token)) {
+                out.push_back({relpath, i + 1, "R7",
+                               std::string("'") + token +
+                                   "' outside src/engine/sync.h -- take locks through the "
+                                   "annotated sync:: wrappers so thread-safety analysis "
+                                   "sees them"});
+            }
+        }
+    }
+}
+
 // --- R3 / R4: doc parity ----------------------------------------------------
 
 bool doc_mentions(const std::string& doc, const std::string& name) {
@@ -393,6 +421,7 @@ int main(int argc, char** argv) {
             const std::string relpath = rel(root, file);
             check_r1(root, relpath, lines, violations);
             check_r2(relpath, lines, violations);
+            check_r7(relpath, lines, violations);
             if (has_scenarios || has_net) {
                 std::vector<std::string> raw_lines(1);
                 for (const char c : *text) {
