@@ -26,6 +26,7 @@
 #include "linalg/ops.h"
 #include "measurement/link_loads.h"
 #include "measurement/stream_checkpoint.h"
+#include "serve/stream_server.h"
 #include "subspace/online.h"
 #include "topology/builders.h"
 #include "topology/routing.h"
@@ -596,7 +597,7 @@ TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
         for (std::size_t r = 0; r < k_golden_prefix_bins; ++r) det.push(bins.row(r));
         save_stream_detector(det, fixture);
         for (std::size_t r = k_golden_prefix_bins; r < bins.rows(); ++r) det.push(bins.row(r));
-        save_stream_detector(det, after);
+        save_stream_detector(det, after, ckpt::encoding::interchange);
         GTEST_SKIP() << "regenerated golden fixtures in " << NETDIAG_TEST_DATA_DIR;
     }
 
@@ -624,6 +625,7 @@ TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
         restored->push_bin(bins.row(r));
     }
     std::ostringstream replayed;
+    ckpt::set_encoding(replayed, ckpt::encoding::interchange);
     restored->save(replayed);
     EXPECT_EQ(replayed.str(), read_file_bytes(after))
         << "replaying the golden checkpoint no longer reproduces the committed state; "
@@ -769,6 +771,8 @@ TEST(GoldenCheckpoint, InterchangeFixturesLoadOnAnyHostIncludingByteSwapped) {
         from_swapped->push_bin(bins.row(r));
     }
     std::ostringstream replayed, replayed_swapped;
+    ckpt::set_encoding(replayed, ckpt::encoding::interchange);
+    ckpt::set_encoding(replayed_swapped, ckpt::encoding::interchange);
     restored->save(replayed);
     from_swapped->save(replayed_swapped);
     EXPECT_EQ(replayed.str(), replayed_swapped.str());
@@ -807,6 +811,149 @@ TEST(GoldenCheckpoint, ConvertCheckpointRoundTripsByteIdentically) {
     convert_checkpoint(to_interchange, back_to_native, ckpt::encoding::native);
     EXPECT_EQ(read_file_bytes(back_to_native), read_file_bytes(native_fixture));
     std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Interchange fixtures for the records a migration actually moves: a
+// streaming_diagnoser with a pending refit AND a filled queued-refit
+// slot, and a stream_server container holding unapplied inbox residue.
+// Each fixture loads, re-saves byte-identically, and replays a fixed
+// bin sequence to a committed after-state.
+// ---------------------------------------------------------------------------
+
+// 6 links x 9 OD flows; every flow crosses two links, so every column of
+// the routing matrix is distinct and nonzero.
+matrix golden_routing() {
+    matrix a(k_golden_dim, 9, 0.0);
+    for (std::size_t f = 0; f < a.cols(); ++f) {
+        a(f % k_golden_dim, f) = 1.0;
+        a((f + 1 + f / k_golden_dim) % k_golden_dim, f) = 1.0;
+    }
+    return a;
+}
+
+streaming_config golden_streaming_config() {
+    streaming_config cfg;
+    cfg.window = 24;
+    cfg.refit_interval = 5;
+    cfg.swap_horizon = 20;
+    cfg.mode = refit_mode::deferred;
+    cfg.separation.fixed_rank = 2;
+    return cfg;
+}
+
+std::string interchange_bytes(stream_detector& det) {
+    std::ostringstream out(std::ios::binary);
+    ckpt::set_encoding(out, ckpt::encoding::interchange);
+    det.save(out);
+    return std::move(out).str();
+}
+
+constexpr std::size_t k_golden_diag_prefix_bins = 12;  // trigger at 5 pending, 10 queued
+constexpr std::size_t k_golden_diag_replay_bins = 40;
+
+TEST(GoldenCheckpoint, DiagnoserWithQueuedRefitReplaysAndResavesByteIdentically) {
+    const std::string fixture =
+        golden_fixture_path("golden_streaming_diagnoser_interchange.ckpt");
+    const std::string after = golden_fixture_path("golden_streaming_diagnoser_after.ckpt");
+    const matrix bins = golden_measurements(
+        k_golden_diag_prefix_bins + k_golden_diag_replay_bins, k_golden_dim, 77);
+
+    if (std::getenv("NETDIAG_REGEN_GOLDEN") != nullptr) {
+        streaming_diagnoser det(golden_measurements(k_golden_boot_rows, k_golden_dim, 4321),
+                                golden_routing(), golden_streaming_config());
+        for (std::size_t r = 0; r < k_golden_diag_prefix_bins; ++r) det.push(bins.row(r));
+        ASSERT_TRUE(det.refit_pending());
+        ASSERT_TRUE(det.refit_queued());
+        save_stream_detector(det, fixture, ckpt::encoding::interchange);
+        for (std::size_t r = k_golden_diag_prefix_bins; r < bins.rows(); ++r) {
+            det.push(bins.row(r));
+        }
+        save_stream_detector(det, after, ckpt::encoding::interchange);
+        GTEST_SKIP() << "regenerated diagnoser fixtures in " << NETDIAG_TEST_DATA_DIR;
+    }
+
+    const std::string fixture_bytes = read_file_bytes(fixture);
+    streaming_diagnoser restored = [&] {
+        std::istringstream in(fixture_bytes, std::ios::binary);
+        return streaming_diagnoser::restore(in);
+    }();
+    ASSERT_EQ(restored.processed(), k_golden_diag_prefix_bins);
+    EXPECT_TRUE(restored.refit_pending());
+    EXPECT_TRUE(restored.refit_queued());
+    EXPECT_EQ(interchange_bytes(restored), fixture_bytes)
+        << "re-saving the loaded diagnoser fixture changed its bytes";
+
+    for (std::size_t r = k_golden_diag_prefix_bins; r < bins.rows(); ++r) {
+        restored.push(bins.row(r));
+    }
+    EXPECT_GE(restored.refit_count(), 2u);
+    EXPECT_EQ(interchange_bytes(restored), read_file_bytes(after))
+        << "replaying the diagnoser fixture no longer reproduces the committed state; "
+           "regenerate with NETDIAG_REGEN_GOLDEN=1 only after an intentional change";
+}
+
+constexpr std::size_t k_golden_server_applied_bins = 6;
+constexpr std::size_t k_golden_server_residue_bins = 3;
+constexpr std::size_t k_golden_server_replay_bins = 10;
+
+TEST(GoldenCheckpoint, ServerStreamWithInboxResidueReplaysAndResavesByteIdentically) {
+    const std::string fixture = golden_fixture_path("golden_server_stream_interchange.ckpt");
+    const std::string after = golden_fixture_path("golden_server_stream_after.ckpt");
+    const std::size_t prefix = k_golden_server_applied_bins + k_golden_server_residue_bins;
+    const matrix bins =
+        golden_measurements(prefix + k_golden_server_replay_bins, k_golden_dim, 55);
+
+    const auto snapshot = [](stream_server& server, stream_id id) {
+        std::ostringstream out(std::ios::binary);
+        server.snapshot_stream(id, out, ckpt::encoding::interchange);
+        return std::move(out).str();
+    };
+    const auto replay = [&](stream_server& server, stream_id id) {
+        server.flush_stream(id);  // the residue applies first
+        for (std::size_t r = prefix; r < bins.rows(); ++r) {
+            ASSERT_TRUE(server.ingest(id, bins.row(r)).ok());
+            server.flush_stream(id);
+        }
+    };
+
+    if (std::getenv("NETDIAG_REGEN_GOLDEN") != nullptr) {
+        stream_server server({.threads = 0});
+        stream_open_config cfg;
+        cfg.kind = stream_kind::tracking;
+        cfg.bootstrap_y = golden_measurements(k_golden_boot_rows, k_golden_dim, 1234);
+        cfg.max_rank = k_golden_rank;
+        cfg.ingest.capacity = 8;
+        cfg.ingest.auto_drain = false;
+        const stream_id id = server.open_stream(std::move(cfg));
+        for (std::size_t r = 0; r < prefix; ++r) {
+            ASSERT_TRUE(server.ingest(id, bins.row(r)).ok());
+            if (r + 1 == k_golden_server_applied_bins) server.flush_stream(id);
+        }
+        ASSERT_EQ(server.ingest_statistics(id).pending, k_golden_server_residue_bins);
+        std::ofstream(fixture, std::ios::binary) << snapshot(server, id);
+        replay(server, id);
+        std::ofstream(after, std::ios::binary) << snapshot(server, id);
+        GTEST_SKIP() << "regenerated server_stream fixtures in " << NETDIAG_TEST_DATA_DIR;
+    }
+
+    const std::string fixture_bytes = read_file_bytes(fixture);
+    stream_server server({.threads = 0});
+    const stream_id id = [&] {
+        std::istringstream in(fixture_bytes, std::ios::binary);
+        return server.restore_stream(in);
+    }();
+    const ingest_stats st = server.ingest_statistics(id);
+    EXPECT_EQ(st.applied, k_golden_server_applied_bins);
+    EXPECT_EQ(st.pending, k_golden_server_residue_bins);
+    EXPECT_EQ(snapshot(server, id), fixture_bytes)
+        << "re-saving the loaded server_stream fixture changed its bytes";
+
+    replay(server, id);
+    EXPECT_EQ(server.ingest_statistics(id).applied, bins.rows());
+    EXPECT_EQ(snapshot(server, id), read_file_bytes(after))
+        << "replaying the server_stream fixture no longer reproduces the committed state; "
+           "regenerate with NETDIAG_REGEN_GOLDEN=1 only after an intentional change";
 }
 
 // ---------------------------------------------------------------------------
