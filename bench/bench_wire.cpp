@@ -1,5 +1,5 @@
 // Wire-layer microbenchmarks: CRC32 throughput, frame encode/decode,
-// interchange vs native checkpoint codec, and end-to-end loopback ingest
+// checkpoint codec save/load, and end-to-end loopback ingest
 // through a netdiag_frontend -- the costs the remote-collector
 // deployment (docs/WIRE_FORMAT.md) adds on top of local serving.
 //
@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -105,27 +104,23 @@ int main(int argc, char** argv) {
                     ms, frames, payload_size >> 10, mib_per_s(stream_bytes.size(), ms));
     }
 
-    // --- checkpoint codec: native vs interchange ----------------------------
+    // --- checkpoint codec: interchange save/load ----------------------------
     {
         tracking_detector det(synthetic_bootstrap(quick ? 64 : 256, quick ? 32 : 128, 7),
                               8);
-        for (const ckpt::encoding enc : {ckpt::encoding::native, ckpt::encoding::interchange}) {
-            std::string bytes;
-            const double save_ms = time_best_ms(reps, [&] {
-                std::ostringstream out(std::ios::binary);
-                ckpt::set_encoding(out, enc);
-                det.save(out);
-                bytes = std::move(out).str();
-            });
-            const double load_ms = time_best_ms(reps, [&] {
-                std::istringstream in(bytes, std::ios::binary);
-                if (load_stream_detector(in) == nullptr) std::abort();
-            });
-            std::printf("%-11s save/load %7.2f / %7.2f ms for %6zu KiB  (%8.1f / %8.1f MiB/s)\n",
-                        enc == ckpt::encoding::native ? "native" : "interchange", save_ms,
-                        load_ms, bytes.size() >> 10, mib_per_s(bytes.size(), save_ms),
-                        mib_per_s(bytes.size(), load_ms));
-        }
+        std::string bytes;
+        const double save_ms = time_best_ms(reps, [&] {
+            ckpt::writer out;
+            det.save(out);
+            bytes = out.release();
+        });
+        const double load_ms = time_best_ms(reps, [&] {
+            ckpt::reader in(bytes);
+            if (load_stream_detector(in) == nullptr) std::abort();
+        });
+        std::printf("checkpoint save/load  %7.2f / %7.2f ms for %6zu KiB  (%8.1f / %8.1f MiB/s)\n",
+                    save_ms, load_ms, bytes.size() >> 10, mib_per_s(bytes.size(), save_ms),
+                    mib_per_s(bytes.size(), load_ms));
     }
 
     // --- loopback ingest round trips ----------------------------------------
@@ -157,8 +152,8 @@ int main(int argc, char** argv) {
     }
 
     std::printf("\nReading: framing overhead is 12 bytes + one CRC pass per frame; the\n"
-                "interchange codec adds one tag byte per token over native and is\n"
-                "byte-order-normalized, so records travel between hosts. Loopback rtt\n"
+                "checkpoint codec writes one tag byte per token and normalizes every\n"
+                "word to little-endian, so records travel between hosts. Loopback rtt\n"
                 "is dominated by the strict one-request-one-response discipline --\n"
                 "batch ingest amortizes it.\n");
     return 0;

@@ -2,10 +2,8 @@
 
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <limits>
-#include <sstream>
-#include <stdexcept>
 
 #include "subspace/online.h"
 #include "subspace/stream_detector.h"
@@ -16,455 +14,253 @@ namespace ckpt {
 
 namespace {
 
-constexpr std::uint64_t k_magic = 0x314b434453444eull;             // "NDSDCK1" packed
 constexpr std::uint64_t k_interchange_magic = 0x3149434453444eull;  // "NDSDCI1" packed
-// Version 3: the stream_server's per-stream records became containers
-// that carry the ingest-inbox configuration, counters and residue around
-// the nested detector record (tag "server_stream"); detector record
-// layouts are unchanged from version 2, so version-2 files still load.
-// Version 2: streaming_diagnoser records carry the queued-refit window
-// snapshot (the freshest-trigger queue slot) after the pending-refit
-// block. Version-1 files predate that field and are rejected.
-// The interchange encoding wraps the same logical layouts (same version
-// numbers) in tagged little-endian primitives; see the header comment
-// and docs/CHECKPOINT_FORMAT.md.
+// Version 3 is the only version written in the tagged little-endian
+// encoding, so it is also the only version that loads
+// (docs/CHECKPOINT_FORMAT.md has the version history).
 constexpr std::uint64_t k_format_version = 3;
-constexpr std::uint64_t k_min_format_version = 2;
 
-// Encoding state attached to a stream (std::ios_base::iword). The
-// swapped mode is only ever set by read_header_info, when an interchange
-// magic arrives in the opposite byte order (a writer that failed to
-// normalize): the payload words are then assembled big-endian instead of
-// rejected -- conversion at the boundary is the interchange contract.
-constexpr long k_mode_native = 0;
-constexpr long k_mode_interchange = 1;
-constexpr long k_mode_interchange_swapped = 2;
-
-int encoding_index() {
-    static const int index = std::ios_base::xalloc();
-    return index;
-}
-
-long stream_mode(std::ios_base& stream) { return stream.iword(encoding_index()); }
-
-// Cached end-of-stream offset for remaining_bytes (value is offset + 1;
-// 0 = not yet probed, -1 = stream is not seekable). Probing the end is
-// a three-seek round trip, so it happens once per stream and every
-// subsequent length check costs a single tellg -- this keeps the
-// per-primitive validation cheap on the native restore path too.
-int end_cache_index() {
-    static const int index = std::ios_base::xalloc();
-    return index;
-}
-
-// One tag byte per interchange primitive, so a schema-free walker (the
-// wire fuzzer, the cross-endian test swapper) can traverse any record
-// and a desynchronized reader fails on the next tag instead of
-// reinterpreting garbage.
+// One tag byte per primitive, so a schema-free walker (the wire fuzzer)
+// can traverse any record and a desynchronized reader fails on the next
+// tag instead of reinterpreting garbage.
 constexpr char k_tag_u64 = 'U';
 constexpr char k_tag_f64 = 'F';
 constexpr char k_tag_string = 'S';
 constexpr char k_tag_vec = 'V';
 constexpr char k_tag_matrix = 'M';
 
-// std::byteswap is C++23; the magic-word probes below need it.
+constexpr bool k_host_little = std::endian::native == std::endian::little;
+
+[[noreturn]] void fail(const std::string& what) {
+    throw format_error("stream_checkpoint: " + what);
+}
+
+// Shift-based little-endian byte layout: the same code path runs on a
+// host of either byte order, so the encoder has no untested big-endian
+// branch.
+void put_le64(char* b, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+}
+
+std::uint64_t get_le64(const char* b) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i])) << (8 * i);
+    }
+    return v;
+}
+
+// std::byteswap is C++23.
 constexpr std::uint64_t byteswap_u64(std::uint64_t v) {
     v = ((v & 0x00ff00ff00ff00ffull) << 8) | ((v >> 8) & 0x00ff00ff00ff00ffull);
     v = ((v & 0x0000ffff0000ffffull) << 16) | ((v >> 16) & 0x0000ffff0000ffffull);
     return (v << 32) | (v >> 32);
 }
 
-void write_raw(std::ostream& out, const void* data, std::size_t bytes) {
-    out.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
-    if (!out) throw std::runtime_error("stream_checkpoint: write failed");
+// A tag byte followed by one little-endian word.
+void write_tagged(writer& out, char tag, std::uint64_t value) {
+    char b[9];
+    b[0] = tag;
+    put_le64(b + 1, value);
+    out.append(b, sizeof b);
 }
 
-void read_raw(std::istream& in, void* data, std::size_t bytes) {
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    if (in.gcount() != static_cast<std::streamsize>(bytes)) {
-        throw std::runtime_error("stream_checkpoint: truncated input");
-    }
-}
-
-// Shift-based little-endian byte layout: the same code path runs on a
-// host of either byte order, so the interchange encoder has no untested
-// big-endian branch.
-void put_le64(unsigned char* b, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint64_t get_le64(const unsigned char* b) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-}
-
-void write_tag(std::ostream& out, char tag) { write_raw(out, &tag, 1); }
-
-void expect_tag(std::istream& in, char tag) {
-    char found = 0;
-    read_raw(in, &found, 1);
+void expect_tag(reader& in, char tag) {
+    const char found = in.take(1)[0];
     if (found != tag) {
-        throw std::runtime_error(std::string("stream_checkpoint: interchange tag mismatch "
-                                             "(expected '") +
-                                 tag + "', found byte " + std::to_string(found) + ")");
+        fail(std::string("tag mismatch (expected '") + tag + "', found byte " +
+             std::to_string(found) + ")");
     }
 }
 
-void write_u64_le(std::ostream& out, std::uint64_t value) {
-    unsigned char b[8];
-    put_le64(b, value);
-    write_raw(out, b, 8);
+std::uint64_t read_word(reader& in) { return get_le64(in.take(8).data()); }
+
+std::uint64_t read_tagged(reader& in, char tag) {
+    expect_tag(in, tag);
+    return read_word(in);
 }
 
-// Reads one 8-byte word in the stream's detected byte order (LE for
-// conforming interchange, reversed for a swapped foreign writer).
-std::uint64_t read_u64_word(std::istream& in, long mode) {
-    unsigned char b[8];
-    read_raw(in, b, 8);
-    if (mode == k_mode_interchange_swapped) return byteswap_u64(get_le64(b));
-    return get_le64(b);
-}
-
-// Validates a header-claimed payload size against the bytes actually
-// left in the stream (when it is seekable) BEFORE any allocation, so a
-// corrupt or hostile header claiming 2^60 bins fails with a clear error
-// instead of an attempted giant allocation.
-void check_payload_fits(std::istream& in, std::uint64_t claimed_bytes, const char* what) {
-    const std::optional<std::uint64_t> rem = remaining_bytes(in);
-    if (rem.has_value() && claimed_bytes > *rem) {
-        throw std::runtime_error(std::string("stream_checkpoint: ") + what +
-                                 " length exceeds remaining input (" +
-                                 std::to_string(claimed_bytes) + " bytes claimed, " +
-                                 std::to_string(*rem) +
-                                 " left): truncated or corrupt header");
+// Validates a claimed payload size against the bytes actually left
+// BEFORE any allocation, so a corrupt or hostile header claiming 2^60
+// bins fails with a clear error instead of an attempted giant
+// allocation.
+void check_payload_fits(const reader& in, std::uint64_t claimed_bytes, const char* what) {
+    if (claimed_bytes > in.remaining()) {
+        fail(std::string(what) + " length exceeds remaining input (" +
+             std::to_string(claimed_bytes) + " bytes claimed, " +
+             std::to_string(in.remaining()) + " left): truncated or corrupt header");
     }
 }
 
-// Bulk double payloads. Doubles travel as their IEEE bit patterns; in
-// interchange mode each 8-byte pattern is little-endian on the wire. On
-// a little-endian host the in-memory layout already matches, so the bulk
-// path is a single raw write/read.
-void write_doubles(std::ostream& out, const double* data, std::size_t count, long mode) {
+// Bulk double payloads: each IEEE bit pattern is a little-endian word.
+// On a little-endian host the in-memory layout already matches, so the
+// bulk path is one copy; a big-endian host swaps every word.
+void write_doubles(writer& out, const double* data, std::size_t count) {
     if (count == 0) return;
-    if (mode == k_mode_native || std::endian::native == std::endian::little) {
-        write_raw(out, data, count * sizeof(double));
-        return;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-        write_u64_le(out, std::bit_cast<std::uint64_t>(data[i]));
+    if constexpr (k_host_little) {
+        out.append(data, count * sizeof(double));
+    } else {
+        for (std::size_t i = 0; i < count; ++i) {
+            char b[8];
+            put_le64(b, std::bit_cast<std::uint64_t>(data[i]));
+            out.append(b, sizeof b);
+        }
     }
 }
 
-// A bulk payload needs byteswapping exactly when the wire byte order
-// differs from the host's: a conforming interchange record is
-// little-endian on the wire, a swapped foreign record is big-endian.
-// CI only runs the little-endian host rows, so the static_asserts below
-// pin all four host x wire combinations at compile time.
-constexpr bool needs_byteswap(long mode, bool host_little) {
-    if (mode == k_mode_native) return false;
-    const bool wire_little = (mode == k_mode_interchange);
-    return wire_little != host_little;
-}
-
-static_assert(!needs_byteswap(k_mode_interchange, /*host_little=*/true));
-static_assert(needs_byteswap(k_mode_interchange_swapped, /*host_little=*/true));
-static_assert(needs_byteswap(k_mode_interchange, /*host_little=*/false));
-static_assert(!needs_byteswap(k_mode_interchange_swapped, /*host_little=*/false));
-static_assert(!needs_byteswap(k_mode_native, /*host_little=*/true));
-static_assert(!needs_byteswap(k_mode_native, /*host_little=*/false));
-
-void read_doubles(std::istream& in, double* data, std::size_t count, long mode) {
+void read_doubles(reader& in, double* data, std::size_t count) {
     if (count == 0) return;
-    read_raw(in, data, count * sizeof(double));
-    if (!needs_byteswap(mode, std::endian::native == std::endian::little)) return;
-    for (std::size_t i = 0; i < count; ++i) {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, data + i, sizeof bits);
-        bits = byteswap_u64(bits);
-        data[i] = std::bit_cast<double>(bits);
+    std::memcpy(data, in.take(count * sizeof(double)).data(), count * sizeof(double));
+    if constexpr (!k_host_little) {
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::uint64_t bits = byteswap_u64(std::bit_cast<std::uint64_t>(data[i]));
+            data[i] = std::bit_cast<double>(bits);
+        }
     }
 }
 
 }  // namespace
 
-void set_encoding(std::ios_base& stream, encoding enc) {
-    stream.iword(encoding_index()) =
-        enc == encoding::interchange ? k_mode_interchange : k_mode_native;
+std::string_view reader::take(std::size_t count) {
+    if (count > remaining()) fail("truncated input");
+    const std::string_view out = bytes_.substr(pos_, count);
+    pos_ += count;
+    return out;
 }
 
-encoding stream_encoding(std::ios_base& stream) {
-    return stream_mode(stream) == k_mode_native ? encoding::native : encoding::interchange;
-}
+void write_u64(writer& out, std::uint64_t value) { write_tagged(out, k_tag_u64, value); }
 
-void write_u64(std::ostream& out, std::uint64_t value) {
-    if (stream_mode(out) == k_mode_native) {
-        write_raw(out, &value, sizeof value);
-        return;
-    }
-    write_tag(out, k_tag_u64);
-    write_u64_le(out, value);
-}
-
-void write_f64(std::ostream& out, double value) {
+void write_f64(writer& out, double value) {
     // Exact bit pattern: the replay guarantee depends on it.
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
-    if (stream_mode(out) == k_mode_native) {
-        write_raw(out, &bits, sizeof bits);
-        return;
-    }
-    write_tag(out, k_tag_f64);
-    write_u64_le(out, bits);
+    write_tagged(out, k_tag_f64, std::bit_cast<std::uint64_t>(value));
 }
 
-void write_flag(std::ostream& out, bool value) { write_u64(out, value ? 1 : 0); }
+void write_flag(writer& out, bool value) { write_u64(out, value ? 1 : 0); }
 
-void write_string(std::ostream& out, const std::string& value) {
-    const long mode = stream_mode(out);
-    if (mode == k_mode_native) {
-        write_u64(out, value.size());
-    } else {
-        write_tag(out, k_tag_string);
-        write_u64_le(out, value.size());
-    }
-    if (!value.empty()) write_raw(out, value.data(), value.size());
+void write_string(writer& out, const std::string& value) {
+    write_tagged(out, k_tag_string, value.size());
+    out.append(value.data(), value.size());
 }
 
-void write_vec(std::ostream& out, const std::vector<double>& value) {
-    const long mode = stream_mode(out);
-    if (mode == k_mode_native) {
-        write_u64(out, value.size());
-    } else {
-        write_tag(out, k_tag_vec);
-        write_u64_le(out, value.size());
-    }
-    write_doubles(out, value.data(), value.size(), mode);
+void write_vec(writer& out, const std::vector<double>& value) {
+    write_tagged(out, k_tag_vec, value.size());
+    write_doubles(out, value.data(), value.size());
 }
 
-void write_matrix(std::ostream& out, const matrix& value) {
-    const long mode = stream_mode(out);
-    if (mode == k_mode_native) {
-        write_u64(out, value.rows());
-        write_u64(out, value.cols());
-    } else {
-        write_tag(out, k_tag_matrix);
-        write_u64_le(out, value.rows());
-        write_u64_le(out, value.cols());
-    }
-    write_doubles(out, value.data(), value.size(), mode);
+void write_matrix(writer& out, const matrix& value) {
+    write_tagged(out, k_tag_matrix, value.rows());
+    char cols[8];
+    put_le64(cols, value.cols());
+    out.append(cols, sizeof cols);
+    write_doubles(out, value.data(), value.size());
 }
 
-std::uint64_t read_u64(std::istream& in) {
-    const long mode = stream_mode(in);
-    if (mode == k_mode_native) {
-        std::uint64_t value = 0;
-        read_raw(in, &value, sizeof value);
-        return value;
-    }
-    expect_tag(in, k_tag_u64);
-    return read_u64_word(in, mode);
-}
+std::uint64_t read_u64(reader& in) { return read_tagged(in, k_tag_u64); }
 
-double read_f64(std::istream& in) {
-    const long mode = stream_mode(in);
-    if (mode == k_mode_native) {
-        std::uint64_t value = 0;
-        read_raw(in, &value, sizeof value);
-        return std::bit_cast<double>(value);
-    }
-    expect_tag(in, k_tag_f64);
-    return std::bit_cast<double>(read_u64_word(in, mode));
-}
+double read_f64(reader& in) { return std::bit_cast<double>(read_tagged(in, k_tag_f64)); }
 
-bool read_flag(std::istream& in) {
+bool read_flag(reader& in) {
     const std::uint64_t value = read_u64(in);
-    if (value > 1) throw std::runtime_error("stream_checkpoint: malformed flag");
+    if (value > 1) fail("malformed flag");
     return value == 1;
 }
 
-std::string read_string(std::istream& in) {
-    const long mode = stream_mode(in);
-    std::uint64_t size = 0;
-    if (mode == k_mode_native) {
-        size = read_u64(in);
-    } else {
-        expect_tag(in, k_tag_string);
-        size = read_u64_word(in, mode);
-    }
-    if (size > (1u << 20)) throw std::runtime_error("stream_checkpoint: string too large");
+std::string read_string(reader& in) {
+    const std::uint64_t size = read_tagged(in, k_tag_string);
+    if (size > (1u << 20)) fail("string too large");
     check_payload_fits(in, size, "string");
-    std::string value(size, '\0');
-    if (size > 0) read_raw(in, value.data(), size);
-    return value;
+    return std::string(in.take(size));
 }
 
-std::vector<double> read_vec(std::istream& in) {
-    const long mode = stream_mode(in);
-    std::uint64_t size = 0;
-    if (mode == k_mode_native) {
-        size = read_u64(in);
-    } else {
-        expect_tag(in, k_tag_vec);
-        size = read_u64_word(in, mode);
-    }
-    if (size > (1u << 28)) throw std::runtime_error("stream_checkpoint: vector too large");
+std::vector<double> read_vec(reader& in) {
+    const std::uint64_t size = read_tagged(in, k_tag_vec);
+    if (size > (1u << 28)) fail("vector too large");
     check_payload_fits(in, size * sizeof(double), "vector");
     std::vector<double> value(size, 0.0);
-    read_doubles(in, value.data(), size, mode);
+    read_doubles(in, value.data(), size);
     return value;
 }
 
-matrix read_matrix(std::istream& in) {
-    const long mode = stream_mode(in);
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    if (mode == k_mode_native) {
-        rows = read_u64(in);
-        cols = read_u64(in);
-    } else {
-        expect_tag(in, k_tag_matrix);
-        rows = read_u64_word(in, mode);
-        cols = read_u64_word(in, mode);
-    }
-    if (rows > (1u << 24) || cols > (1u << 24) ||
-        (rows != 0 && cols > (1u << 28) / rows)) {
-        throw std::runtime_error("stream_checkpoint: matrix too large");
+matrix read_matrix(reader& in) {
+    const std::uint64_t rows = read_tagged(in, k_tag_matrix);
+    const std::uint64_t cols = read_word(in);
+    if (rows > (1u << 24) || cols > (1u << 24) || (rows != 0 && cols > (1u << 28) / rows)) {
+        fail("matrix too large");
     }
     check_payload_fits(in, rows * cols * sizeof(double), "matrix");
     matrix value(rows, cols, 0.0);
-    read_doubles(in, value.data(), value.size(), mode);
+    read_doubles(in, value.data(), value.size());
     return value;
 }
 
-std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
-    if (!in) return std::nullopt;
-    const std::istream::pos_type cur = in.tellg();
-    if (cur == std::istream::pos_type(-1)) {
-        in.clear();
-        return std::nullopt;
-    }
-    long& cached = in.iword(end_cache_index());
-    if (cached == -1) return std::nullopt;
-    if (cached == 0) {
-        in.seekg(0, std::ios::end);
-        if (!in) {
-            in.clear();
-            in.seekg(cur);
-            cached = -1;
-            return std::nullopt;
-        }
-        const std::istream::pos_type probed = in.tellg();
-        in.seekg(cur);
-        if (probed == std::istream::pos_type(-1)) {
-            cached = -1;
-            return std::nullopt;
-        }
-        cached = static_cast<long>(probed) + 1;
-    }
-    const std::uint64_t end = static_cast<std::uint64_t>(cached - 1);
-    const std::uint64_t pos = static_cast<std::uint64_t>(cur);
-    if (end < pos) return std::nullopt;
-    return end - pos;
-}
-
-void write_header(std::ostream& out, const std::string& type_tag) {
-    if (stream_mode(out) == k_mode_native) {
-        std::uint64_t magic = k_magic;
-        write_raw(out, &magic, sizeof magic);
-    } else {
-        // The interchange magic is little-endian on the wire, untagged
-        // (it is what announces the tagged encoding to the reader).
-        write_u64_le(out, k_interchange_magic);
-    }
+void write_header(writer& out, const std::string& type_tag) {
+    // The magic is untagged: it is what identifies a checkpoint record.
+    char magic[8];
+    put_le64(magic, k_interchange_magic);
+    out.append(magic, sizeof magic);
     write_u64(out, k_format_version);
     write_string(out, type_tag);
 }
 
-header_info read_header_info(std::istream& in) {
-    unsigned char raw[8];
-    read_raw(in, raw, 8);
-    std::uint64_t host_word = 0;
-    std::memcpy(&host_word, raw, sizeof host_word);
-    const std::uint64_t le_word = get_le64(raw);
-
-    long mode = k_mode_native;
-    if (host_word == k_magic) {
-        mode = k_mode_native;
-    } else if (host_word == byteswap_u64(k_magic)) {
-        // A native checkpoint from a host of the opposite byte order. The
-        // native format is deliberately host-endian (exact double bit
-        // patterns, for bit-exact replay); reject loudly rather than
-        // replay garbage.
-        throw std::runtime_error(
-            "stream_checkpoint: checkpoint was written on a host with different "
-            "endianness (the native format is host-endian by design; re-snapshot on "
-            "this architecture, or convert to the portable interchange encoding on "
-            "the writing host -- see docs/CHECKPOINT_FORMAT.md)");
-    } else if (le_word == k_interchange_magic) {
-        mode = k_mode_interchange;
-    } else if (byteswap_u64(le_word) == k_interchange_magic) {
-        // An interchange record whose writer laid words out big-endian (a
-        // non-normalizing foreign writer, or the cross-endian fixtures):
-        // the encoding is self-identifying, so convert at the boundary
-        // instead of rejecting.
-        mode = k_mode_interchange_swapped;
-    } else {
-        throw std::runtime_error("stream_checkpoint: bad magic (not a checkpoint file)");
+std::string read_header(reader& in) {
+    if (read_word(in) != k_interchange_magic) {
+        fail("bad magic: not a little-endian interchange checkpoint (records in the "
+             "retired native encoding and byte-swapped records from a writer of the "
+             "other endianness are not readable; see docs/CHECKPOINT_FORMAT.md)");
     }
-    in.iword(encoding_index()) = mode;
-
     const std::uint64_t version = read_u64(in);
-    if (version < k_min_format_version || version > k_format_version) {
-        throw std::runtime_error(
-            "stream_checkpoint: unsupported format version " + std::to_string(version) +
-            " (supported: " + std::to_string(k_min_format_version) + ".." +
-            std::to_string(k_format_version) + ")");
+    if (version != k_format_version) {
+        fail("unsupported format version " + std::to_string(version) + " (only version " +
+             std::to_string(k_format_version) + " loads)");
     }
-    header_info info;
-    info.type_tag = read_string(in);
-    info.version = version;
-    info.enc = mode == k_mode_native ? encoding::native : encoding::interchange;
-    return info;
+    return read_string(in);
 }
 
-std::string read_header(std::istream& in) { return read_header_info(in).type_tag; }
-
-std::uint64_t format_version() noexcept { return k_format_version; }
-
-std::uint64_t min_supported_format_version() noexcept { return k_min_format_version; }
-
-void expect_header(std::istream& in, const std::string& type_tag) {
+void expect_header(reader& in, const std::string& type_tag) {
     const std::string tag = read_header(in);
-    if (tag != type_tag) {
-        throw std::runtime_error("stream_checkpoint: expected " + type_tag + ", found " + tag);
+    if (tag != type_tag) fail("expected " + type_tag + ", found " + tag);
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!in || ec) throw std::runtime_error("stream_checkpoint: cannot open " + path);
+    std::string bytes(size, '\0');
+    if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+        throw std::runtime_error("stream_checkpoint: read failed for " + path);
     }
+    return bytes;
+}
+
+void write_file(const std::string& path, std::string_view bytes) {
+    std::ofstream out(path, std::ios::binary);
+    if (!out) throw std::runtime_error("stream_checkpoint: cannot open " + path);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    if (!out) throw std::runtime_error("stream_checkpoint: write failed for " + path);
 }
 
 }  // namespace ckpt
 
-void save_stream_detector(stream_detector& detector, const std::string& path,
-                          ckpt::encoding enc) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw std::runtime_error("save_stream_detector: cannot open " + path);
-    ckpt::set_encoding(out, enc);
+void save_stream_detector(stream_detector& detector, const std::string& path) {
+    ckpt::writer out;
     detector.save(out);
-    out.flush();
-    if (!out) throw std::runtime_error("save_stream_detector: write failed for " + path);
+    ckpt::write_file(path, out.bytes());
 }
 
 std::unique_ptr<stream_detector> load_stream_detector(const std::string& path,
                                                       thread_pool* pool) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("load_stream_detector: cannot open " + path);
+    const std::string bytes = ckpt::read_file(path);
+    ckpt::reader in(bytes);
     return load_stream_detector(in, pool);
 }
 
-std::unique_ptr<stream_detector> load_stream_detector(std::istream& in, thread_pool* pool) {
-    const std::istream::pos_type start = in.tellg();
-    const std::string tag = ckpt::read_header(in);
-    // restore() re-validates its own header, so rewind to the record start.
-    in.clear();
-    in.seekg(start);
+std::unique_ptr<stream_detector> load_stream_detector(ckpt::reader& in, thread_pool* pool) {
+    // Peek the tag on a copy of the cursor: restore() reads its own
+    // header from the record start.
+    ckpt::reader peek = in;
+    const std::string tag = ckpt::read_header(peek);
     if (tag == "streaming_diagnoser") {
         return std::make_unique<streaming_diagnoser>(streaming_diagnoser::restore(in, pool));
     }
@@ -475,13 +271,7 @@ std::unique_ptr<stream_detector> load_stream_detector(std::istream& in, thread_p
         return std::make_unique<incremental_pca_tracker>(
             incremental_pca_tracker::restore(in, pool));
     }
-    throw std::runtime_error("load_stream_detector: unknown detector tag " + tag);
-}
-
-void convert_checkpoint(const std::string& src_path, const std::string& dst_path,
-                        ckpt::encoding target, thread_pool* pool) {
-    const std::unique_ptr<stream_detector> detector = load_stream_detector(src_path, pool);
-    save_stream_detector(*detector, dst_path, target);
+    throw ckpt::format_error("load_stream_detector: unknown detector tag " + tag);
 }
 
 }  // namespace netdiag

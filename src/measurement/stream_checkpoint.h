@@ -2,40 +2,34 @@
 //
 // A checkpoint is the complete state of a stream_detector -- current
 // model, maintenance buffers (window or tracked SVD), pending refit,
-// counters, epoch -- written as a flat binary image: magic + format
+// counters, epoch -- written as a flat binary record: magic + format
 // version + a type tag, then the detector's fields. Doubles are stored as
 // their exact bit patterns, so a restored stream replays the remaining
 // detection sequence bit-for-bit.
 //
-// Two encodings share that logical layout (docs/CHECKPOINT_FORMAT.md):
+// There is one encoding, the portable interchange encoding
+// (docs/CHECKPOINT_FORMAT.md): every primitive is little-endian whatever
+// the host and is prefixed with a one-byte type tag. Records therefore
+// move between hosts of any byte order, a schema-free walker (the wire
+// fuzzer) can traverse any record, and a desynchronized reader fails on
+// the next tag instead of reinterpreting garbage. The same codec builds
+// the payloads of the length-prefixed wire protocol in src/net/
+// (docs/WIRE_FORMAT.md).
 //
-//  - native: host-endian, untagged -- the fast snapshot/restore path for
-//    one architecture. A native checkpoint from a host of the opposite
-//    byte order is detected via the byte-swapped magic word and rejected
-//    with a clear error instead of silently replaying garbage.
-//  - interchange: the portable variant. Every primitive is normalized to
-//    little-endian on the wire and prefixed with a one-byte type tag, so
-//    checkpoints move between hosts of any byte order and a generic
-//    walker (the wire fuzzer, the cross-endian test swapper) can traverse
-//    a record without the detector schema. The reader detects a record
-//    whose writer failed to normalize (the interchange magic arrives
-//    byte-swapped) and converts at the boundary rather than rejecting.
-//    The interchange encoding doubles as the payload format of the
-//    length-prefixed wire protocol in src/net/ (docs/WIRE_FORMAT.md).
-//
-// The encoding is ambient stream state (set_encoding below): writers pick
-// it before the first byte, readers have it detected from the magic by
-// read_header_info. The primitives are exposed so the detectors'
-// save()/restore() implementations (subspace/online.cpp), the serving
-// front-end and tests can share one codec.
+// The codec works on memory: ckpt::writer appends to a byte string and
+// ckpt::reader is a cursor over a byte view, so every length a record
+// claims is checked against the bytes actually left before anything is
+// allocated. The primitives are exposed so the detectors' save()/restore()
+// implementations (subspace/online.cpp), the serving front-end and tests
+// share one codec.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <ios>
 #include <memory>
-#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -47,105 +41,104 @@ class thread_pool;
 
 namespace ckpt {
 
-// How multi-byte values are laid out on the wire. See the header comment.
-enum class encoding {
-    native,       // host-endian, untagged (default)
-    interchange,  // little-endian, one tag byte per primitive
+// The record encoding. It has a single value and nothing branches on it;
+// the type remains because stream_server::snapshot_stream's stream
+// overload still takes it, and the end-to-end benchmark harness calls
+// that overload with encoding::interchange.
+enum class encoding { interchange };
+
+// Truncated, malformed or self-contradictory checkpoint input. Every
+// reader below, every detector restore() and the stream_server's record
+// loader throw it.
+class format_error : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
 };
 
-// Sets/reads the encoding attached to a stream. Writers call
-// set_encoding before writing a record (native is the default); readers
-// never need to -- read_header_info detects the encoding (and, for
-// interchange, a byte-swapped foreign writer) from the magic word and
-// attaches it to the stream for the primitives that follow.
-void set_encoding(std::ios_base& stream, encoding enc);
-encoding stream_encoding(std::ios_base& stream);
+// Appends encoded primitives to a byte string it owns.
+class writer {
+public:
+    void append(const void* data, std::size_t bytes) {
+        bytes_.append(static_cast<const char*>(data), bytes);
+    }
+    const std::string& bytes() const noexcept { return bytes_; }
+    std::string release() noexcept { return std::move(bytes_); }
 
-// All readers throw std::runtime_error on truncated or malformed input;
-// writers throw std::runtime_error when the stream enters a failed state.
-void write_u64(std::ostream& out, std::uint64_t value);
-void write_f64(std::ostream& out, double value);
-void write_flag(std::ostream& out, bool value);
-void write_string(std::ostream& out, const std::string& value);
-void write_vec(std::ostream& out, const std::vector<double>& value);
-void write_matrix(std::ostream& out, const matrix& value);
-
-std::uint64_t read_u64(std::istream& in);
-double read_f64(std::istream& in);
-bool read_flag(std::istream& in);
-std::string read_string(std::istream& in);
-std::vector<double> read_vec(std::istream& in);
-matrix read_matrix(std::istream& in);
-
-// Bytes between the stream's current position and its end, or nullopt
-// when the stream is not seekable. The readers above validate every
-// header-derived length/count against this before allocating, so a
-// corrupt header claiming 2^60 bins fails with a clear error instead of
-// attempting the allocation. The end offset is probed once and cached
-// on the stream (iword), so per-primitive validation costs one tellg,
-// not a seek-to-end round trip -- a stream that grows after its first
-// record read is therefore measured against the cached end.
-std::optional<std::uint64_t> remaining_bytes(std::istream& in);
-
-// Magic + format version + the record type tag, in the encoding attached
-// to the stream (set_encoding).
-void write_header(std::ostream& out, const std::string& type_tag);
-
-// Parsed header: the record type tag plus the format version the file
-// was written with (any supported version; see format_version()) and the
-// encoding the magic word announced.
-struct header_info {
-    std::string type_tag;
-    std::uint64_t version = 0;
-    encoding enc = encoding::native;
+private:
+    std::string bytes_;
 };
 
-// Reads and validates the header -- magic (native host-order, native
-// byte-swapped -> loud rejection, interchange in either byte order ->
-// accepted and converted), version in the supported range -- returning
-// tag, version and encoding, and attaching the detected encoding to the
-// stream for the reads that follow.
-header_info read_header_info(std::istream& in);
-// read_header_info, returning only the tag.
-std::string read_header(std::istream& in);
+// A cursor over encoded bytes held elsewhere (the view must outlive the
+// reader). Copyable: a copy is an independent cursor, which is how a
+// loader peeks a record's header without consuming it.
+class reader {
+public:
+    explicit reader(std::string_view bytes) noexcept : bytes_(bytes) {}
+    std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
+    // Consumes the next `count` bytes; throws format_error when fewer
+    // are left.
+    std::string_view take(std::size_t count);
+
+private:
+    std::string_view bytes_;
+    std::size_t pos_ = 0;
+};
+
+// Readers throw format_error on truncated or malformed input. Readers of
+// strings, vectors and matrices validate the claimed length against
+// reader::remaining() before allocating, so a corrupt header claiming
+// 2^60 bins fails with a clear error instead of attempting the
+// allocation.
+void write_u64(writer& out, std::uint64_t value);
+void write_f64(writer& out, double value);
+void write_flag(writer& out, bool value);
+void write_string(writer& out, const std::string& value);
+void write_vec(writer& out, const std::vector<double>& value);
+void write_matrix(writer& out, const matrix& value);
+
+std::uint64_t read_u64(reader& in);
+double read_f64(reader& in);
+bool read_flag(reader& in);
+std::string read_string(reader& in);
+std::vector<double> read_vec(reader& in);
+matrix read_matrix(reader& in);
+
+// Magic + format version (3) + the record type tag.
+void write_header(writer& out, const std::string& type_tag);
+
+// Reads and validates the header -- the magic word, then format version
+// 3, the only version that loads -- and returns the type tag. Version-2
+// and older records predate the single encoding (every one was written
+// in the retired host-endian encoding); docs/CHECKPOINT_FORMAT.md lists
+// what loads.
+std::string read_header(reader& in);
 // Reads the header and throws unless the tag matches (restore guards).
-void expect_header(std::istream& in, const std::string& type_tag);
+void expect_header(reader& in, const std::string& type_tag);
 
-// The version write_header stamps on new records (currently 3) and the
-// oldest version read_header still accepts (currently 2; version-1 files
-// predate the queued-refit slot and are rejected). The byte-level spec
-// of every version lives in docs/CHECKPOINT_FORMAT.md.
-std::uint64_t format_version() noexcept;
-std::uint64_t min_supported_format_version() noexcept;
+// Whole-file I/O for checkpoint files. Throw std::runtime_error naming
+// the path when the file cannot be opened, read or written.
+std::string read_file(const std::string& path);
+void write_file(const std::string& path, std::string_view bytes);
 
 }  // namespace ckpt
 
 // Saves any stream_detector to a file (draining in-flight background work
-// first, so the bytes are independent of pool size and timing) in the
-// given encoding. Throws std::runtime_error on I/O failure.
-void save_stream_detector(stream_detector& detector, const std::string& path,
-                          ckpt::encoding enc = ckpt::encoding::native);
+// first, so the bytes are independent of pool size and timing). Throws
+// std::runtime_error on I/O failure.
+void save_stream_detector(stream_detector& detector, const std::string& path);
 
-// Loads a checkpoint written by save_stream_detector -- either encoding,
-// detected from the magic -- dispatching on the type tag to the matching
-// detector's restore(). The pool is runtime wiring, not checkpoint state:
-// the restored detector uses the one given here. Throws
-// std::runtime_error on I/O failure, an unknown tag, or malformed
-// content.
+// Loads a checkpoint written by save_stream_detector, dispatching on the
+// type tag to the matching detector's restore(). The pool is runtime
+// wiring, not checkpoint state: the restored detector uses the one given
+// here. Throws std::runtime_error on I/O failure and ckpt::format_error
+// on an unknown tag or malformed content.
 std::unique_ptr<stream_detector> load_stream_detector(const std::string& path,
                                                       thread_pool* pool = nullptr);
 
-// Same, reading a detector record from the stream's current position --
-// the seam for container records that nest a detector record after their
-// own fields (the stream_server's format-v3 per-stream checkpoints). The
-// stream must be seekable across the record header.
-std::unique_ptr<stream_detector> load_stream_detector(std::istream& in,
+// Same, reading a detector record at the reader's position -- the seam
+// for container records that nest a detector record after their own
+// fields (the stream_server's per-stream records).
+std::unique_ptr<stream_detector> load_stream_detector(ckpt::reader& in,
                                                       thread_pool* pool = nullptr);
-
-// Re-encodes a checkpoint file: loads it (either encoding) and saves it
-// again in the target encoding. Native -> interchange -> native is
-// byte-identical, which the golden-fixture tests rely on.
-void convert_checkpoint(const std::string& src_path, const std::string& dst_path,
-                        ckpt::encoding target, thread_pool* pool = nullptr);
 
 }  // namespace netdiag

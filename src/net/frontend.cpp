@@ -1,7 +1,6 @@
 #include "net/frontend.h"
 
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -51,15 +50,8 @@ frame dispatch(stream_server& server, const frame& request) {
         }
         case msg_type::req_snapshot: {
             const snapshot_request req = decode_snapshot_request(request.payload);
-            // Interchange encoding always: a record that answers a network
-            // request is by definition leaving the host.
-            std::ostringstream record(std::ios::binary);
-            if (req.detach) {
-                server.detach_stream(req.stream, record, ckpt::encoding::interchange);
-            } else {
-                server.snapshot_stream(req.stream, record, ckpt::encoding::interchange);
-            }
-            std::string bytes = std::move(record).str();
+            std::string bytes = req.detach ? server.detach_stream(req.stream)
+                                           : server.snapshot_stream(req.stream);
             if (bytes.size() > k_max_payload) {
                 return error_frame(wire_errc::server_error,
                                    "stream record of " + std::to_string(bytes.size()) +
@@ -70,15 +62,14 @@ frame dispatch(stream_server& server, const frame& request) {
         }
         case msg_type::req_restore: {
             const restore_request req = decode_restore_request(request.payload);
-            std::istringstream in(req.record, std::ios::binary);
             try {
-                const stream_id id = server.restore_stream(in);
+                const stream_id id = server.restore_stream(req.record);
                 return frame{static_cast<std::uint8_t>(msg_type::resp_restore),
                              encode(restore_response{id})};
             } catch (const std::runtime_error& e) {
-                // The ckpt codec signals a malformed record as
-                // std::runtime_error; keep the strict-decode contract the
-                // other ops follow instead of a generic server_error.
+                // A malformed record (ckpt::format_error) keeps the
+                // strict-decode contract the other ops follow instead of
+                // a generic server_error.
                 return error_frame(wire_errc::malformed_payload, e.what());
             }
         }

@@ -1,17 +1,13 @@
 #include "net/migration.h"
 
-#include <sstream>
-
 namespace netdiag::net {
 
 stream_id migrate_stream(stream_server& source, stream_id id, stream_server& target) {
     // Detach into a memory buffer first: the source stream is gone once
     // detach returns, so the record must be safely held before anything
     // else can fail.
-    std::ostringstream record(std::ios::binary);
-    source.detach_stream(id, record, ckpt::encoding::interchange);
-    std::istringstream in(std::move(record).str(), std::ios::binary);
-    return target.restore_stream(in);
+    const std::string record = source.detach_stream(id);
+    return target.restore_stream(record);
 }
 
 std::uint64_t migrate_stream(remote_collector& source, std::uint64_t id,

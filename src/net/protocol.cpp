@@ -1,33 +1,21 @@
 #include "net/protocol.h"
 
-#include <sstream>
-
 #include "measurement/stream_checkpoint.h"
 
 namespace netdiag::net {
 
 namespace {
 
-// Every payload is a stream of interchange checkpoint primitives; the
-// writer pins the encoding up front so the ambient-state contract of
-// the ckpt codec holds for in-memory buffers too.
-std::ostringstream payload_writer() {
-    std::ostringstream out(std::ios::binary);
-    ckpt::set_encoding(out, ckpt::encoding::interchange);
-    return out;
-}
-
 // Runs a parse body against the payload, translating the ckpt codec's
-// runtime errors (truncation, tag mismatch, oversized counts) into the
-// protocol's typed decode error, and rejecting trailing bytes: a
-// payload is exact or it is malformed.
+// errors (truncation, tag mismatch, oversized counts) into the protocol's
+// typed decode error, and rejecting trailing bytes: a payload is exact
+// or it is malformed.
 template <typename F>
 auto parse(std::string_view payload, const char* what, F&& body) {
-    std::istringstream in{std::string(payload), std::ios::binary};
-    ckpt::set_encoding(in, ckpt::encoding::interchange);
+    ckpt::reader in(payload);
     try {
-        auto result = body(static_cast<std::istream&>(in));
-        if (in.peek() != std::istringstream::traits_type::eof()) {
+        auto result = body(in);
+        if (in.remaining() != 0) {
             throw wire_decode_error(std::string(what) + ": trailing bytes after payload");
         }
         return result;
@@ -54,15 +42,15 @@ const char* wire_errc_name(wire_errc e) noexcept {
 }
 
 std::string encode(const ingest_batch_request& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, x.stream);
     ckpt::write_u64(out, x.bins.size());
     for (const std::vector<double>& bin : x.bins) ckpt::write_vec(out, bin);
-    return std::move(out).str();
+    return out.release();
 }
 
 ingest_batch_request decode_ingest_batch_request(std::string_view payload) {
-    return parse(payload, "ingest_batch_request", [](std::istream& in) {
+    return parse(payload, "ingest_batch_request", [](ckpt::reader& in) {
         ingest_batch_request x;
         x.stream = ckpt::read_u64(in);
         const std::uint64_t count = ckpt::read_u64(in);
@@ -77,14 +65,14 @@ ingest_batch_request decode_ingest_batch_request(std::string_view payload) {
 }
 
 std::string encode(const ingest_batch_response& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, x.sequence);
     ckpt::write_u64(out, x.accepted);
-    return std::move(out).str();
+    return out.release();
 }
 
 ingest_batch_response decode_ingest_batch_response(std::string_view payload) {
-    return parse(payload, "ingest_batch_response", [](std::istream& in) {
+    return parse(payload, "ingest_batch_response", [](ckpt::reader& in) {
         ingest_batch_response x;
         x.sequence = ckpt::read_u64(in);
         x.accepted = ckpt::read_u64(in);
@@ -93,26 +81,26 @@ ingest_batch_response decode_ingest_batch_response(std::string_view payload) {
 }
 
 std::string encode(const flush_request& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, x.stream);
-    return std::move(out).str();
+    return out.release();
 }
 
 flush_request decode_flush_request(std::string_view payload) {
-    return parse(payload, "flush_request", [](std::istream& in) {
+    return parse(payload, "flush_request", [](ckpt::reader& in) {
         return flush_request{ckpt::read_u64(in)};
     });
 }
 
 std::string encode(const snapshot_request& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, x.stream);
     ckpt::write_flag(out, x.detach);
-    return std::move(out).str();
+    return out.release();
 }
 
 snapshot_request decode_snapshot_request(std::string_view payload) {
-    return parse(payload, "snapshot_request", [](std::istream& in) {
+    return parse(payload, "snapshot_request", [](ckpt::reader& in) {
         snapshot_request x;
         x.stream = ckpt::read_u64(in);
         x.detach = ckpt::read_flag(in);
@@ -137,31 +125,31 @@ restore_request decode_restore_request(std::string_view payload) {
 }
 
 std::string encode(const restore_response& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, x.stream);
-    return std::move(out).str();
+    return out.release();
 }
 
 restore_response decode_restore_response(std::string_view payload) {
-    return parse(payload, "restore_response", [](std::istream& in) {
+    return parse(payload, "restore_response", [](ckpt::reader& in) {
         return restore_response{ckpt::read_u64(in)};
     });
 }
 
 std::string encode(const stats_request& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, x.stream);
-    return std::move(out).str();
+    return out.release();
 }
 
 stats_request decode_stats_request(std::string_view payload) {
-    return parse(payload, "stats_request", [](std::istream& in) {
+    return parse(payload, "stats_request", [](ckpt::reader& in) {
         return stats_request{ckpt::read_u64(in)};
     });
 }
 
 std::string encode(const stats_response& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, x.dimension);
     ckpt::write_u64(out, x.processed);
     ckpt::write_u64(out, x.alarms);
@@ -172,11 +160,11 @@ std::string encode(const stats_response& x) {
     ckpt::write_u64(out, x.rejected);
     ckpt::write_u64(out, x.pending);
     ckpt::write_u64(out, x.next_sequence);
-    return std::move(out).str();
+    return out.release();
 }
 
 stats_response decode_stats_response(std::string_view payload) {
-    return parse(payload, "stats_response", [](std::istream& in) {
+    return parse(payload, "stats_response", [](ckpt::reader& in) {
         stats_response x;
         x.dimension = ckpt::read_u64(in);
         x.processed = ckpt::read_u64(in);
@@ -193,26 +181,26 @@ stats_response decode_stats_response(std::string_view payload) {
 }
 
 std::string encode(const close_request& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, x.stream);
-    return std::move(out).str();
+    return out.release();
 }
 
 close_request decode_close_request(std::string_view payload) {
-    return parse(payload, "close_request", [](std::istream& in) {
+    return parse(payload, "close_request", [](ckpt::reader& in) {
         return close_request{ckpt::read_u64(in)};
     });
 }
 
 std::string encode(const error_response& x) {
-    std::ostringstream out = payload_writer();
+    ckpt::writer out;
     ckpt::write_u64(out, static_cast<std::uint64_t>(x.code));
     ckpt::write_string(out, x.message);
-    return std::move(out).str();
+    return out.release();
 }
 
 error_response decode_error_response(std::string_view payload) {
-    return parse(payload, "error_response", [](std::istream& in) {
+    return parse(payload, "error_response", [](ckpt::reader& in) {
         error_response x;
         // Unknown codes pass through verbatim: a newer server's error is
         // still an error worth surfacing with its message intact.

@@ -1,9 +1,9 @@
 // Operation layer of the netdiag wire protocol (docs/WIRE_FORMAT.md).
-// Each frame type below carries a payload built from the interchange
-// checkpoint primitives (measurement/stream_checkpoint.h, encoding
-// ::interchange) -- the same tagged little-endian codec stream records
-// travel in, so the snapshot/restore payloads ARE checkpoint records and
-// nothing re-encodes detector state at the network boundary.
+// Each frame type below carries a payload built from the checkpoint
+// primitives (measurement/stream_checkpoint.h) -- the same tagged
+// little-endian codec stream records travel in, so the snapshot/restore
+// payloads ARE checkpoint records and nothing re-encodes detector state
+// at the network boundary.
 //
 // Request/response pairing is positional: a connection sends one request
 // frame and reads one response frame (resp type = request type | 0x80,

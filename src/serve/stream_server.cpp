@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -648,30 +648,19 @@ void stream_server::snapshot_all(const std::string& directory) {
         // exclusive section.
         entry->detector->drain();
 
-        const std::string path =
-            (std::filesystem::path(directory) / checkpoint_filename(id)).string();
-        std::ofstream out(path, std::ios::binary);
-        if (!out) {
-            throw std::runtime_error("stream_server::snapshot_all: cannot open " + path);
-        }
-        write_stream_record(*entry, out, ckpt::encoding::native);
+        ckpt::writer record;
+        write_stream_record(*entry, record);
+        ckpt::write_file((std::filesystem::path(directory) / checkpoint_filename(id)).string(),
+                         record.bytes());
     }
 
-    const std::string manifest_path =
-        (std::filesystem::path(directory) / "manifest.ckpt").string();
-    std::ofstream out(manifest_path, std::ios::binary);
-    if (!out) {
-        throw std::runtime_error("stream_server::snapshot_all: cannot open " + manifest_path);
-    }
-    ckpt::write_header(out, k_manifest_tag);
-    ckpt::write_u64(out, next_id);
-    ckpt::write_u64(out, entries.size());
-    for (const auto& [id, entry] : entries) ckpt::write_u64(out, id);
-    out.flush();
-    if (!out) {
-        throw std::runtime_error("stream_server::snapshot_all: write failed for " +
-                                 manifest_path);
-    }
+    ckpt::writer manifest;
+    ckpt::write_header(manifest, k_manifest_tag);
+    ckpt::write_u64(manifest, next_id);
+    ckpt::write_u64(manifest, entries.size());
+    for (const auto& [id, entry] : entries) ckpt::write_u64(manifest, id);
+    ckpt::write_file((std::filesystem::path(directory) / "manifest.ckpt").string(),
+                     manifest.bytes());
 }
 
 void stream_server::restore_all(const std::string& directory) {
@@ -681,17 +670,14 @@ void stream_server::restore_all(const std::string& directory) {
         throw std::logic_error("stream_server::restore_all: server already has open streams");
     }
 
-    const std::string manifest_path =
-        (std::filesystem::path(directory) / "manifest.ckpt").string();
-    std::ifstream manifest(manifest_path, std::ios::binary);
-    if (!manifest) {
-        throw std::runtime_error("stream_server::restore_all: cannot open " + manifest_path);
-    }
+    const std::string manifest_bytes =
+        ckpt::read_file((std::filesystem::path(directory) / "manifest.ckpt").string());
+    ckpt::reader manifest(manifest_bytes);
     ckpt::expect_header(manifest, k_manifest_tag);
     const std::uint64_t saved_next_id = ckpt::read_u64(manifest);
     const std::uint64_t count = ckpt::read_u64(manifest);
     if (count > (1u << 20)) {
-        throw std::runtime_error("stream_server::restore_all: malformed manifest stream count");
+        throw ckpt::format_error("stream_server::restore_all: malformed manifest stream count");
     }
 
     std::map<stream_id, std::shared_ptr<stream_entry>> restored;
@@ -700,10 +686,8 @@ void stream_server::restore_all(const std::string& directory) {
         const stream_id id = ckpt::read_u64(manifest);
         const std::string path =
             (std::filesystem::path(directory) / checkpoint_filename(id)).string();
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-            throw std::runtime_error("stream_server::restore_all: cannot open " + path);
-        }
+        const std::string bytes = ckpt::read_file(path);
+        ckpt::reader in(bytes);
         auto entry = read_stream_record(in, "stream_server::restore_all(" + path + ")");
 
         const auto [it, inserted] = restored.emplace(id, std::move(entry));
@@ -721,9 +705,7 @@ void stream_server::restore_all(const std::string& directory) {
 // stream. Caller holds the stream's drain role and entry lock (and
 // maint_mu_); this function takes mu_ exclusive itself around the
 // detector serialization to exclude push().
-void stream_server::write_stream_record(stream_entry& entry, std::ostream& out,
-                                        ckpt::encoding enc) {
-    ckpt::set_encoding(out, enc);
+void stream_server::write_stream_record(stream_entry& entry, ckpt::writer& out) {
     ckpt::write_header(out, k_server_stream_tag);
     ckpt::write_u64(out, entry.inbox->capacity());
     ckpt::write_u64(out, static_cast<std::uint64_t>(entry.opts.policy));
@@ -739,78 +721,64 @@ void stream_server::write_stream_record(stream_entry& entry, std::ostream& out,
     const auto residue = entry.inbox->snapshot_items();
     ckpt::write_u64(out, residue.size());
     for (const auto& [seq, bin] : residue) ckpt::write_vec(out, bin.y);
-    // Serialize the detector to memory under mu_ exclusive (this is what
-    // excludes push() on this stream) and write it out after
-    // releasing it, so a slow sink never stalls the other streams'
-    // pushes. The buffer carries the same encoding as the outer record:
-    // the nested detector record must decode under one codec.
-    std::ostringstream detector_bytes(std::ios::binary);
-    ckpt::set_encoding(detector_bytes, enc);
-    {
-        sync::exclusive_lock lock(mu_);
-        entry.detector->save(detector_bytes);
-    }
-    const std::string bytes = detector_bytes.str();
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-        throw std::runtime_error("stream_server: stream record write failed");
-    }
+    // mu_ exclusive is what excludes push() on this stream. The record
+    // goes to memory, so a slow file or socket never stalls the other
+    // streams' pushes: callers write it out after mu_ is released.
+    sync::exclusive_lock lock(mu_);
+    entry.detector->save(out);
 }
 
-// Reads one per-stream record (either encoding; "server_stream"
-// container or a format-v2 raw detector record) and builds a fresh,
-// unpublished entry with counters restored and residue re-enqueued.
+// Reads one "server_stream" record and builds a fresh, unpublished entry
+// with counters restored and residue re-enqueued.
 std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
-    std::istream& in, const std::string& context) {
+    ckpt::reader& in, const std::string& context) {
+    ckpt::expect_header(in, k_server_stream_tag);
     ingest_options opts;
-    std::uint64_t accepted = 0, applied = 0, dropped = 0, rejected = 0;
-    std::uint64_t next_sequence = 0;
-    std::vector<vec> residue;
-    std::unique_ptr<stream_detector> detector;
-
-    const std::istream::pos_type start = in.tellg();
-    const ckpt::header_info hdr = ckpt::read_header_info(in);
-    if (hdr.type_tag == k_server_stream_tag) {
-        opts.capacity = ckpt::read_u64(in);
-        if (opts.capacity == 0 ||
-            opts.capacity > mpsc_inbox<stream_entry::ingest_item>::k_max_capacity) {
-            throw std::runtime_error(context + ": malformed inbox capacity");
-        }
-        const std::uint64_t policy = ckpt::read_u64(in);
-        if (policy > static_cast<std::uint64_t>(inbox_policy::drop_oldest)) {
-            throw std::runtime_error(context + ": malformed ingest policy");
-        }
-        opts.policy = static_cast<inbox_policy>(policy);
-        opts.auto_drain = ckpt::read_flag(in);
-        accepted = ckpt::read_u64(in);
-        applied = ckpt::read_u64(in);
-        dropped = ckpt::read_u64(in);
-        rejected = ckpt::read_u64(in);
-        next_sequence = ckpt::read_u64(in);
-        const std::uint64_t residue_count = ckpt::read_u64(in);
-        if (residue_count > opts.capacity || residue_count > next_sequence) {
-            throw std::runtime_error(context + ": malformed inbox residue");
-        }
-        residue.reserve(residue_count);
-        for (std::uint64_t r = 0; r < residue_count; ++r) {
-            residue.push_back(ckpt::read_vec(in));
-        }
-        detector = load_stream_detector(in, pool_.get());
-    } else {
-        // A format-v2 (pre-inbox) record: a raw detector record. Restore
-        // with an empty default inbox.
-        in.clear();
-        in.seekg(start);
-        detector = load_stream_detector(in, pool_.get());
+    opts.capacity = ckpt::read_u64(in);
+    if (opts.capacity == 0 ||
+        opts.capacity > mpsc_inbox<stream_entry::ingest_item>::k_max_capacity) {
+        throw ckpt::format_error(context + ": malformed inbox capacity");
     }
+    const std::uint64_t policy = ckpt::read_u64(in);
+    if (policy > static_cast<std::uint64_t>(inbox_policy::drop_oldest)) {
+        throw ckpt::format_error(context + ": malformed ingest policy");
+    }
+    opts.policy = static_cast<inbox_policy>(policy);
+    opts.auto_drain = ckpt::read_flag(in);
+    const std::uint64_t accepted = ckpt::read_u64(in);
+    const std::uint64_t applied = ckpt::read_u64(in);
+    const std::uint64_t dropped = ckpt::read_u64(in);
+    const std::uint64_t rejected = ckpt::read_u64(in);
+    const std::uint64_t next_sequence = ckpt::read_u64(in);
+    const std::uint64_t residue_count = ckpt::read_u64(in);
+    if (residue_count > opts.capacity || residue_count > next_sequence) {
+        throw ckpt::format_error(context + ": malformed inbox residue");
+    }
+    // Every writer holds the drain role and the exclusive entry lock, so
+    // no bin is mid-enqueue or mid-apply and the identity is exact. A
+    // record that breaks it would make ingest_statistics misreport
+    // pending for the rest of the stream's life. Checked without
+    // overflow: the counters are untrusted.
+    if (applied > accepted || dropped > accepted - applied ||
+        residue_count != accepted - applied - dropped) {
+        throw ckpt::format_error(context +
+                                 ": ingest counters break conservation (accepted " +
+                                 std::to_string(accepted) + " != applied " +
+                                 std::to_string(applied) + " + dropped " +
+                                 std::to_string(dropped) + " + residue " +
+                                 std::to_string(residue_count) + ")");
+    }
+    std::vector<vec> residue;
+    residue.reserve(residue_count);
+    for (std::uint64_t r = 0; r < residue_count; ++r) residue.push_back(ckpt::read_vec(in));
+    std::unique_ptr<stream_detector> detector = load_stream_detector(in, pool_.get());
 
     auto entry = make_entry(std::move(detector), std::move(opts),
                             next_sequence - residue.size());
     const std::uint64_t restamp_tick = monotone_now_ns();
     for (vec& bin : residue) {
         if (bin.size() != entry->detector->dimension()) {
-            throw std::runtime_error(context + ": inbox residue width mismatch");
+            throw ckpt::format_error(context + ": inbox residue width mismatch");
         }
         // The residue count was validated against the inbox capacity
         // above, so a rejected push means the checkpoint lied about one
@@ -818,7 +786,7 @@ std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
         // sequence from the restored counters.
         if (entry->inbox->push(stream_entry::ingest_item{std::move(bin), restamp_tick})
                 .status != inbox_push_status::accepted) {
-            throw std::runtime_error(context + ": inbox rejected checkpoint residue");
+            throw ckpt::format_error(context + ": inbox rejected checkpoint residue");
         }
     }
     entry->accepted.store(accepted, std::memory_order_relaxed);
@@ -828,7 +796,7 @@ std::shared_ptr<stream_server::stream_entry> stream_server::read_stream_record(
     return entry;
 }
 
-void stream_server::snapshot_stream(stream_id id, std::ostream& out, ckpt::encoding enc) {
+std::string stream_server::snapshot_stream(stream_id id) {
     // Same quiesce discipline as snapshot_all, for one stream: maint_mu_
     // serializes against close/detach/restore (so the entry cannot die
     // under us), the drain role waits out an active drainer while holding
@@ -840,10 +808,18 @@ void stream_server::snapshot_stream(stream_id id, std::ostream& out, ckpt::encod
     stream_entry::drain_role role(*e);
     sync::exclusive_lock entry_lock(e->mu);
     e->detector->drain();
-    write_stream_record(*e, out, enc);
+    ckpt::writer out;
+    write_stream_record(*e, out);
+    return out.release();
 }
 
-void stream_server::detach_stream(stream_id id, std::ostream& out, ckpt::encoding enc) {
+void stream_server::snapshot_stream(stream_id id, std::ostream& out, ckpt::encoding) {
+    const std::string record = snapshot_stream(id);
+    out.write(record.data(), static_cast<std::streamsize>(record.size()));
+    if (!out) throw std::runtime_error("stream_server: stream record write failed");
+}
+
+std::string stream_server::detach_stream(stream_id id) {
     // close_stream's teardown sequence, except the pending inbox bins are
     // snapshotted as residue instead of applied: they belong to the
     // record's restored inbox, not to the dying local detector.
@@ -868,25 +844,34 @@ void stream_server::detach_stream(stream_id id, std::ostream& out, ckpt::encodin
     victim->closing.store(true, std::memory_order_release);
     victim->inbox->close();
     stream_entry::acquire_drain_role(*victim);
+    ckpt::writer out;
     {
         sync::exclusive_lock entry_lock(victim->mu);
         victim->detector->drain();
-        write_stream_record(*victim, out, enc);
+        write_stream_record(*victim, out);
     }
     // Like close_stream: the role is adopted permanently (the draining
     // flag stays set) so no late auto-drain touches the dying detector;
     // balance the acquire for the analysis only.
     victim->drain_cap.release();
+    return out.release();
 }
 
-stream_id stream_server::restore_stream(std::istream& in) {
+stream_id stream_server::restore_stream(std::string_view record) {
     sync::mutex_lock maintenance(maint_mu_);
+    ckpt::reader in(record);
     std::shared_ptr<stream_entry> entry =
         read_stream_record(in, "stream_server::restore_stream");
     sync::exclusive_lock lock(mu_);
     const stream_id id = next_id_++;
     streams_.emplace(id, std::move(entry));
     return id;
+}
+
+stream_id stream_server::restore_stream(std::istream& in) {
+    std::ostringstream record;
+    record << in.rdbuf();
+    return restore_stream(std::move(record).str());
 }
 
 }  // namespace netdiag

@@ -71,10 +71,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/mpsc_inbox.h"
@@ -311,28 +313,28 @@ public:
 
     // Reopens every stream recorded by snapshot_all under its original
     // id, wired to this server's pool, with its inbox residue re-enqueued
-    // under the original sequence numbers. Directories written by the
-    // format-v2 (pre-inbox) snapshot_all restore too, with empty default
-    // inboxes. The server must have no open streams. Throws
-    // std::runtime_error on a missing/malformed manifest or checkpoint
-    // and std::logic_error when streams are already open.
+    // under the original sequence numbers. The server must have no open
+    // streams. Throws std::runtime_error on a missing manifest or
+    // checkpoint file, ckpt::format_error on a malformed one, and
+    // std::logic_error when streams are already open.
     void restore_all(const std::string& directory);
 
     // Checkpoints ONE stream as a self-contained per-stream record (the
-    // same format-v3 "server_stream" container snapshot_all writes) onto
-    // the given stream, in the given encoding -- interchange for records
-    // that travel between hosts (the wire protocol's snapshot payload;
-    // docs/WIRE_FORMAT.md). Quiesces the stream's ingest edge for the
-    // write (drain role + entry lock), drains detector maintenance so
+    // same format-v3 "server_stream" container snapshot_all writes) and
+    // returns it; the record is what the wire protocol's snapshot payload
+    // carries (docs/WIRE_FORMAT.md). Quiesces the stream's ingest edge for
+    // the write (drain role + entry lock), drains detector maintenance so
     // the bytes are timing-independent, and snapshots pending inbox bins
     // as residue without applying them; the stream stays open and
-    // resumes afterwards. Throws std::invalid_argument on an unknown id,
-    // std::runtime_error on I/O failure.
-    void snapshot_stream(stream_id id, std::ostream& out,
-                         ckpt::encoding enc = ckpt::encoding::native);
+    // resumes afterwards. Throws std::invalid_argument on an unknown id.
+    [[nodiscard]] std::string snapshot_stream(stream_id id);
+    // The same record, written to `out`. Stream-based callers (the
+    // end-to-end benchmark harness among them) use this form; `enc` has
+    // a single value. Throws std::runtime_error when the write fails.
+    void snapshot_stream(stream_id id, std::ostream& out, ckpt::encoding enc);
 
-    // The migration primitive: removes the stream from the server while
-    // writing the same record snapshot_stream writes. Unpublishes the
+    // The migration primitive: removes the stream from the server and
+    // returns the same record snapshot_stream returns. Unpublishes the
     // stream, closes its inbox -- concurrent ingests (including
     // producers blocked on a full ring) return stream_closed from this
     // point on, never silently dropping a bin -- then snapshots the
@@ -340,21 +342,19 @@ public:
     // every accepted-but-unapplied bin travels in the record and
     // restore_stream on another server resumes from exactly this state
     // (accepted == applied + dropped + pending holds across the move,
-    // and the replay stays bit-exact). The record is written before the
-    // detector is destroyed, but a caller that cannot afford to lose the
-    // stream on a flaky sink should detach into a memory buffer and
-    // forward from there. Throws std::invalid_argument on an unknown id,
-    // std::runtime_error on I/O failure.
-    void detach_stream(stream_id id, std::ostream& out,
-                       ckpt::encoding enc = ckpt::encoding::interchange);
+    // and the replay stays bit-exact). Throws std::invalid_argument on an
+    // unknown id.
+    [[nodiscard]] std::string detach_stream(stream_id id);
 
     // Restores one stream from a record written by snapshot_stream /
-    // detach_stream (either encoding, detected from the magic; format-v2
-    // raw detector records restore with an empty default inbox too),
-    // wiring it to this server's pool and registering it under a FRESH
-    // id on this server -- the caller re-points collectors at the
-    // returned id. Inbox residue is re-enqueued under its original
-    // sequence numbers. Throws std::runtime_error on malformed input.
+    // detach_stream, wiring it to this server's pool and registering it
+    // under a FRESH id on this server -- the caller re-points collectors
+    // at the returned id. Inbox residue is re-enqueued under its original
+    // sequence numbers. Throws ckpt::format_error on malformed input,
+    // including a record whose ingest counters break accepted ==
+    // applied + dropped + residue.
+    [[nodiscard]] stream_id restore_stream(std::string_view record);
+    // Same, reading the record from the rest of `in`.
     [[nodiscard]] stream_id restore_stream(std::istream& in);
 
 private:
@@ -374,8 +374,8 @@ private:
     // (drain role + entry lock held by the caller) and takes mu_
     // exclusive itself around the detector serialization; the reader
     // builds a fresh, unpublished entry.
-    void write_stream_record(stream_entry& entry, std::ostream& out, ckpt::encoding enc);
-    std::shared_ptr<stream_entry> read_stream_record(std::istream& in,
+    void write_stream_record(stream_entry& entry, ckpt::writer& out);
+    std::shared_ptr<stream_entry> read_stream_record(ckpt::reader& in,
                                                      const std::string& context);
 
     std::unique_ptr<thread_pool> pool_;

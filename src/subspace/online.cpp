@@ -16,7 +16,7 @@ namespace {
 // Shared (de)serialization of a fitted model: the PCA plus the normal
 // rank fully determine a subspace_model, and with the routing matrix and
 // confidence they rebuild a volume_anomaly_diagnoser exactly.
-void write_model(std::ostream& out, const subspace_model& model) {
+void write_model(ckpt::writer& out, const subspace_model& model) {
     const pca_model& pca = model.pca();
     ckpt::write_matrix(out, pca.principal_axes);
     ckpt::write_vec(out, pca.axis_variance);
@@ -26,7 +26,7 @@ void write_model(std::ostream& out, const subspace_model& model) {
     ckpt::write_u64(out, model.normal_rank());
 }
 
-subspace_model read_model(std::istream& in) {
+subspace_model read_model(ckpt::reader& in) {
     pca_model pca;
     pca.principal_axes = ckpt::read_matrix(in);
     pca.axis_variance = ckpt::read_vec(in);
@@ -183,7 +183,7 @@ void streaming_diagnoser::drain() {
     }
 }
 
-void streaming_diagnoser::save(std::ostream& out) {
+void streaming_diagnoser::save(ckpt::writer& out) {
     pusher_cap_.assert_held();
     drain();
     ckpt::write_header(out, "streaming_diagnoser");
@@ -243,7 +243,7 @@ streaming_diagnoser::streaming_diagnoser(restored_state&& state)
       queued_window_(std::move(state.queued_window)),
       swap_at_(state.swap_at) {}
 
-streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* pool) {
+streaming_diagnoser streaming_diagnoser::restore(ckpt::reader& in, thread_pool* pool) {
     ckpt::expect_header(in, "streaming_diagnoser");
     streaming_config cfg;
     cfg.window = ckpt::read_u64(in);
@@ -254,7 +254,7 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     if (ckpt::read_flag(in)) cfg.separation.fixed_rank = ckpt::read_u64(in);
     const std::uint64_t mode = ckpt::read_u64(in);
     if (mode > static_cast<std::uint64_t>(refit_mode::deferred)) {
-        throw std::runtime_error("streaming_diagnoser::restore: malformed refit mode");
+        throw ckpt::format_error("streaming_diagnoser::restore: malformed refit mode");
     }
     cfg.mode = static_cast<refit_mode>(mode);
     cfg.swap_horizon = ckpt::read_u64(in);
@@ -262,13 +262,13 @@ streaming_diagnoser streaming_diagnoser::restore(std::istream& in, thread_pool* 
     // Re-check the constructor's invariant: restore must never build a
     // diagnoser the public API forbids.
     if (cfg.window < 2) {
-        throw std::runtime_error("streaming_diagnoser::restore: window too small");
+        throw ckpt::format_error("streaming_diagnoser::restore: window too small");
     }
 
     matrix a = ckpt::read_matrix(in);
     const std::uint64_t window_size = ckpt::read_u64(in);
     if (window_size > cfg.window) {
-        throw std::runtime_error("streaming_diagnoser::restore: window larger than configured");
+        throw ckpt::format_error("streaming_diagnoser::restore: window larger than configured");
     }
     std::deque<vec> window;
     for (std::uint64_t r = 0; r < window_size; ++r) window.push_back(ckpt::read_vec(in));
@@ -356,7 +356,7 @@ vec incremental_pca_tracker::axis_variance() const {
     return out;
 }
 
-void incremental_pca_tracker::save(std::ostream& out) {
+void incremental_pca_tracker::save(ckpt::writer& out) {
     ckpt::write_header(out, "incremental_pca_tracker");
     ckpt::write_vec(out, svd_.s);
     ckpt::write_matrix(out, svd_.v);
@@ -366,7 +366,7 @@ void incremental_pca_tracker::save(std::ostream& out) {
     ckpt::write_u64(out, pushed_);
 }
 
-incremental_pca_tracker incremental_pca_tracker::restore(std::istream& in, thread_pool* pool) {
+incremental_pca_tracker incremental_pca_tracker::restore(ckpt::reader& in, thread_pool* pool) {
     ckpt::expect_header(in, "incremental_pca_tracker");
     incremental_pca_tracker out;
     out.svd_.s = ckpt::read_vec(in);
@@ -378,7 +378,7 @@ incremental_pca_tracker incremental_pca_tracker::restore(std::istream& in, threa
     out.pool_ = pool;
     if (out.max_rank_ == 0 || out.svd_.s.size() != out.svd_.v.cols() ||
         out.svd_.v.rows() != out.mean_.size()) {
-        throw std::runtime_error("incremental_pca_tracker::restore: inconsistent state");
+        throw ckpt::format_error("incremental_pca_tracker::restore: inconsistent state");
     }
     return out;
 }
@@ -526,7 +526,7 @@ detection_result tracking_detector::push(std::span<const double> y) {
     return result;
 }
 
-void tracking_detector::save(std::ostream& out) {
+void tracking_detector::save(ckpt::writer& out) {
     pusher_cap_.assert_held();
     join_fold();
     ckpt::write_header(out, "tracking_detector");
@@ -584,7 +584,7 @@ tracking_detector::tracking_detector(tracking_detector&& other)
       pool_(other.pool_),
       deferred_updates_(other.deferred_updates_) {}
 
-tracking_detector tracking_detector::restore(std::istream& in, thread_pool* pool) {
+tracking_detector tracking_detector::restore(ckpt::reader& in, thread_pool* pool) {
     ckpt::expect_header(in, "tracking_detector");
     restored_state state;
     state.deferred_updates = ckpt::read_flag(in);
@@ -601,7 +601,7 @@ tracking_detector tracking_detector::restore(std::istream& in, thread_pool* pool
         in, (state.deferred_updates && pool != nullptr) ? nullptr : pool);
     if (tracker.dimension() != state.dimension ||
         !(state.confidence > 0.0 && state.confidence < 1.0)) {
-        throw std::runtime_error("tracking_detector::restore: inconsistent state");
+        throw ckpt::format_error("tracking_detector::restore: inconsistent state");
     }
     state.tracker = std::move(tracker);
     return tracking_detector(std::move(state));

@@ -27,7 +27,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <iosfwd>
 #include <limits>
 #include <optional>
 #include <span>
@@ -42,6 +41,10 @@
 namespace netdiag {
 
 class thread_pool;
+
+namespace ckpt {
+class reader;
+}  // namespace ckpt
 
 // Stacks a measurement window into a t x m matrix, one window entry per
 // row. Throws std::invalid_argument on an empty window (a refit must never
@@ -107,12 +110,12 @@ public:
     std::size_t alarm_count() const noexcept override { return alarms_; }
     std::uint64_t model_epoch() const noexcept override { return epoch_; }
     void drain() override;
-    void save(std::ostream& out) override;
+    void save(ckpt::writer& out) override;
 
     // Rebuilds a diagnoser saved by save(). The pool (and observer) are
     // runtime wiring, not state: pass whatever the restored stream should
-    // use. Throws std::runtime_error on malformed input.
-    static streaming_diagnoser restore(std::istream& in, thread_pool* pool = nullptr);
+    // use. Throws ckpt::format_error on malformed input.
+    static streaming_diagnoser restore(ckpt::reader& in, thread_pool* pool = nullptr);
 
     // Applied refits (== model_epoch()).
     std::size_t refit_count() const noexcept { return refits_; }
@@ -194,8 +197,8 @@ public:
     std::size_t alarm_count() const noexcept override { return 0; }
     std::uint64_t model_epoch() const noexcept override { return pushed_; }
     void drain() override {}  // folds are synchronous
-    void save(std::ostream& out) override;
-    static incremental_pca_tracker restore(std::istream& in, thread_pool* pool = nullptr);
+    void save(ckpt::writer& out) override;
+    static incremental_pca_tracker restore(ckpt::reader& in, thread_pool* pool = nullptr);
 
     std::size_t sample_count() const noexcept { return count_; }
     std::size_t rank() const noexcept { return svd_.v.cols(); }
@@ -263,8 +266,8 @@ public:
         return epoch_.load(std::memory_order_relaxed);
     }
     void drain() override;
-    void save(std::ostream& out) override;
-    static tracking_detector restore(std::istream& in, thread_pool* pool = nullptr);
+    void save(ckpt::writer& out) override;
+    static tracking_detector restore(ckpt::reader& in, thread_pool* pool = nullptr);
 
     std::size_t normal_rank() const noexcept { return normal_rank_; }
     double threshold();

@@ -21,12 +21,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 
 #include "subspace/detector.h"
 
 namespace netdiag {
+
+namespace ckpt {
+class writer;
+}  // namespace ckpt
 
 class stream_detector {
 public:
@@ -62,7 +65,7 @@ public:
 
     // Serializes the complete detector state. Drains first (hence
     // non-const); the written bytes are independent of pool size.
-    virtual void save(std::ostream& out) = 0;
+    virtual void save(ckpt::writer& out) = 0;
 };
 
 }  // namespace netdiag

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -25,6 +24,8 @@
 #include "engine/mpsc_inbox.h"
 #include "measurement/link_loads.h"
 #include "measurement/stream_checkpoint.h"
+#include "net/frontend.h"
+#include "net/protocol.h"
 #include "serve/stream_server.h"
 #include "subspace/online.h"
 #include "topology/builders.h"
@@ -763,16 +764,13 @@ TEST_F(IngestFixture, SnapshotWithInboxResidueRestoresAndReplaysExactly) {
 
     original.snapshot_all(dir);
 
-    // The per-stream record is a format-v3 server_stream container.
+    // The per-stream record is a format-v3 server_stream container
+    // (read_header rejects every other version).
     {
-        std::ifstream in((std::filesystem::path(dir) / ("stream_" + std::to_string(id) +
-                                                        ".ckpt")).string(),
-                         std::ios::binary);
-        ASSERT_TRUE(in.is_open());
-        const ckpt::header_info hdr = ckpt::read_header_info(in);
-        EXPECT_EQ(hdr.type_tag, "server_stream");
-        EXPECT_EQ(hdr.version, 3u);
-        EXPECT_EQ(hdr.version, ckpt::format_version());
+        const std::string bytes = ckpt::read_file(
+            (std::filesystem::path(dir) / ("stream_" + std::to_string(id) + ".ckpt")).string());
+        ckpt::reader in(bytes);
+        EXPECT_EQ(ckpt::read_header(in), "server_stream");
     }
 
     // Restore into a different pool size; the residue must come back
@@ -936,16 +934,14 @@ TEST_F(IngestFixture, MalformedInboxCapacityInCheckpointIsRejected) {
             open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
         server.snapshot_all(dir);
     }
-    // Corrupt the capacity field (first u64 after the server_stream
-    // header: 8 magic + 8 version + 8 tag length + 13 tag bytes = 37).
+    // Corrupt the capacity field: the first u64 after the server_stream
+    // header (8 magic + 9 version + 9 tag length + 13 tag bytes = 39),
+    // whose 8 value bytes follow its 'U' tag.
     const std::string path = (std::filesystem::path(dir) / "stream_1.ckpt").string();
-    {
-        std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-        ASSERT_TRUE(f.is_open());
-        f.seekp(37);
-        const std::uint64_t huge = ~std::uint64_t{0};
-        f.write(reinterpret_cast<const char*>(&huge), sizeof huge);
-    }
+    std::string bytes = ckpt::read_file(path);
+    ASSERT_EQ(bytes.at(39), 'U');
+    bytes.replace(40, 8, std::string(8, '\xff'));
+    ckpt::write_file(path, bytes);
     stream_server restored({.threads = 0});
     try {
         restored.restore_all(dir);
@@ -957,72 +953,100 @@ TEST_F(IngestFixture, MalformedInboxCapacityInCheckpointIsRejected) {
     std::filesystem::remove_all(dir);
 }
 
-TEST_F(IngestFixture, LegacyRawDetectorSnapshotDirectoryStillRestores) {
-    // A format-v2 snapshot directory held raw detector records (no
-    // server_stream container). Build one by hand and restore it: the
-    // stream must come back with an empty default inbox.
-    const std::string dir = temp_dir("ingest_legacy_snapshot");
-    std::filesystem::create_directories(dir);
-    {
-        incremental_pca_tracker tracker(bootstrap_slice(0), 6);
-        save_stream_detector(tracker,
-                             (std::filesystem::path(dir) / "stream_1.ckpt").string());
-        std::ofstream manifest((std::filesystem::path(dir) / "manifest.ckpt").string(),
-                               std::ios::binary);
-        ckpt::write_header(manifest, "stream_server_manifest");
-        ckpt::write_u64(manifest, 2);  // next_id
-        ckpt::write_u64(manifest, 1);  // stream count
-        ckpt::write_u64(manifest, 1);  // the stream id
-    }
-
-    stream_server server({.threads = 0});
-    server.restore_all(dir);
-    ASSERT_EQ(server.stream_count(), 1u);
-    const ingest_stats st = server.ingest_statistics(1);
-    EXPECT_EQ(st.accepted, 0u);
-    EXPECT_EQ(st.pending, 0u);
-    EXPECT_EQ(st.next_sequence, 0u);
-    EXPECT_TRUE(server.ingest(1, y_.row(k_boot)).ok());
-    server.flush_stream(1);
-    EXPECT_EQ(server.ingest_statistics(1).applied, 1u);
-    std::filesystem::remove_all(dir);
-}
-
-TEST_F(IngestFixture, VersionTwoRecordsLoadVersionOneAndFutureVersionsRejected) {
-    // Detector record layouts are identical in versions 2 and 3, so a
-    // version-2 record is exactly a version-3 record with a patched
-    // version field. Patch the committed-on-write version down to 2: it
-    // must load; versions 1 and 4 must be rejected with a clear error.
+TEST_F(IngestFixture, RecordVersionsOtherThanThreeAreRejected) {
+    // Version 3 is the only version written in the tagged little-endian
+    // encoding, so it is the only one that loads. Patch the version field
+    // of a fresh record to 1, 2 (the last native-encoding version) and 4:
+    // each must fail with a clear error.
     incremental_pca_tracker tracker(bootstrap_slice(0), 6);
-    std::ostringstream out;
+    ckpt::writer out;
     tracker.save(out);
-    const std::string v3_bytes = out.str();
+    const std::string v3_bytes = out.release();
 
     const auto with_version = [&](std::uint64_t version) {
         std::string bytes = v3_bytes;
+        // 8-byte magic, then the version's 'U' tag and its 8 value bytes.
+        EXPECT_EQ(bytes.at(8), 'U');
         for (std::size_t b = 0; b < 8; ++b) {
-            bytes[8 + b] = static_cast<char>((version >> (8 * b)) & 0xff);
+            bytes[9 + b] = static_cast<char>((version >> (8 * b)) & 0xff);
         }
         return bytes;
     };
 
     {
-        std::istringstream in(with_version(2));
+        const std::string bytes = with_version(3);
+        ckpt::reader in(bytes);
         const std::unique_ptr<stream_detector> restored = load_stream_detector(in);
         ASSERT_NE(restored, nullptr);
         EXPECT_EQ(restored->dimension(), y_.cols());
     }
-    for (const std::uint64_t bad : {std::uint64_t{1}, std::uint64_t{4}}) {
-        std::istringstream in(with_version(bad));
+    for (const std::uint64_t bad : {1, 2, 4}) {
+        const std::string bytes = with_version(bad);
+        ckpt::reader in(bytes);
         try {
             load_stream_detector(in);
             FAIL() << "version " << bad << " record was accepted";
-        } catch (const std::runtime_error& e) {
-            EXPECT_NE(std::string(e.what()).find("unsupported format version"),
+        } catch (const ckpt::format_error& e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported format version " +
+                                                 std::to_string(bad)),
                       std::string::npos)
                 << "got: " << e.what();
         }
     }
+}
+
+TEST_F(IngestFixture, RestoreRejectsRecordsThatBreakCounterConservation) {
+    // Every writer holds the drain role and the exclusive entry lock, so
+    // a record always satisfies accepted == applied + dropped + residue.
+    // A record that breaks it must not restore: ingest_statistics would
+    // misreport pending for the rest of the stream's life.
+    stream_server server({.threads = 0});
+    ingest_options ingest;
+    ingest.capacity = 8;
+    ingest.auto_drain = false;
+    const stream_id id = server.open_stream(
+        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+    for (std::size_t i = 0; i < 5; ++i) {
+        ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
+        if (i == 2) server.flush_stream(id);
+    }
+    ASSERT_EQ(server.ingest_statistics(id).pending, 2u);
+    std::ostringstream out(std::ios::binary);
+    server.snapshot_stream(id, out, ckpt::encoding::interchange);
+    const std::string good = std::move(out).str();
+
+    // Counter fields follow the 39-byte server_stream header as 9-byte
+    // 'U' tokens: capacity, policy, auto_drain, then accepted, applied,
+    // dropped. Bump one value byte of each counter in turn.
+    for (const std::size_t field : {3u, 4u, 5u}) {
+        const std::size_t tag_at = 39 + 9 * field;
+        std::string patched = good;
+        ASSERT_EQ(patched.at(tag_at), 'U');
+        patched[tag_at + 1] = static_cast<char>(patched[tag_at + 1] + 1);
+
+        std::istringstream in(patched, std::ios::binary);
+        try {
+            (void)server.restore_stream(in);
+            ADD_FAILURE() << "counter field " << field << " patched, record restored";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("conservation"), std::string::npos)
+                << "field " << field << ": got " << e.what();
+        }
+        EXPECT_THROW((void)server.restore_stream(patched), ckpt::format_error);
+
+        // Over the wire the same record is a typed malformed payload.
+        const net::frame response = net::handle_request(
+            server, net::frame{static_cast<std::uint8_t>(net::msg_type::req_restore), patched});
+        ASSERT_EQ(static_cast<net::msg_type>(response.type), net::msg_type::resp_error);
+        EXPECT_EQ(net::decode_error_response(response.payload).code,
+                  net::wire_errc::malformed_payload);
+    }
+    // The unpatched record restores, conserved.
+    std::istringstream in(good, std::ios::binary);
+    const stream_id restored = server.restore_stream(in);
+    const ingest_stats st = server.ingest_statistics(restored);
+    EXPECT_EQ(st.pending, 2u);
+    EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending);
 }
 
 }  // namespace

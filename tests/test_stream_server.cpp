@@ -592,16 +592,14 @@ TEST_F(StreamServerFixture, ConcurrentIngestDuringDetachSeesOnlyCleanErrors) {
     while (accepted_total.load(std::memory_order_relaxed) < 32) {
         std::this_thread::yield();
     }
-    std::ostringstream record(std::ios::binary);
-    source.detach_stream(id, record);
+    const std::string record = source.detach_stream(id);
     for (std::thread& t : producers) t.join();
     EXPECT_FALSE(bad_error.load()) << "a producer saw a non-migration error";
 
     // No silent drops: the record's accepted counter equals exactly the
     // bins producers were told were accepted, and conservation holds on
     // the restored stream before and after applying the residue.
-    std::istringstream in(std::move(record).str(), std::ios::binary);
-    const stream_id moved = target.restore_stream(in);
+    const stream_id moved = target.restore_stream(record);
     const ingest_stats st = target.ingest_statistics(moved);
     EXPECT_EQ(st.accepted, accepted_total.load());
     EXPECT_EQ(st.accepted, st.applied + st.dropped + st.pending);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -256,10 +255,9 @@ TEST_F(StreamingFixture, StreamingDiagnoserCheckpointReplaysExactly) {
 
     const std::string path = temp_checkpoint_path("streaming_diagnoser.ckpt");
     save_stream_detector(live, path);
-    streaming_diagnoser restored = [&] {
-        std::ifstream in(path, std::ios::binary);
-        return streaming_diagnoser::restore(in);
-    }();
+    const std::string bytes = ckpt::read_file(path);
+    ckpt::reader in(bytes);
+    streaming_diagnoser restored = streaming_diagnoser::restore(in);
 
     EXPECT_EQ(restored.processed(), live.processed());
     EXPECT_EQ(restored.model_epoch(), live.model_epoch());
@@ -331,10 +329,9 @@ TEST_F(StreamingFixture, TrackerCheckpointReplaysExactly) {
 
     const std::string path = temp_checkpoint_path("tracker.ckpt");
     save_stream_detector(live, path);
-    incremental_pca_tracker restored = [&] {
-        std::ifstream in(path, std::ios::binary);
-        return incremental_pca_tracker::restore(in);
-    }();
+    const std::string bytes = ckpt::read_file(path);
+    ckpt::reader in(bytes);
+    incremental_pca_tracker restored = incremental_pca_tracker::restore(in);
 
     ASSERT_EQ(restored.axes(), live.axes());
     for (std::size_t r = 20; r < 50; ++r) {
@@ -358,14 +355,14 @@ TEST_F(StreamingFixture, RestoreRejectsRefitModeTwo) {
     cfg.refit_interval = 15;
     cfg.mode = refit_mode::deferred;
     streaming_diagnoser live(bootstrap_, routing_.a, cfg);
-    std::ostringstream saved(std::ios::binary);
+    ckpt::writer saved;
     live.save(saved);
-    const std::string good = saved.str();
+    const std::string good = saved.release();
 
     // Locate the field by writing the record's prefix with the same
     // codec: header, window, refit interval, confidence, k-sigma, min
     // normal axes, and the (absent) fixed-rank flag.
-    std::ostringstream prefix(std::ios::binary);
+    ckpt::writer prefix;
     ckpt::write_header(prefix, "streaming_diagnoser");
     ckpt::write_u64(prefix, cfg.window);
     ckpt::write_u64(prefix, cfg.refit_interval);
@@ -373,26 +370,26 @@ TEST_F(StreamingFixture, RestoreRejectsRefitModeTwo) {
     ckpt::write_f64(prefix, cfg.separation.k_sigma);
     ckpt::write_u64(prefix, cfg.separation.min_normal_axes);
     ckpt::write_flag(prefix, false);
-    const std::size_t mode_at = prefix.str().size();
-    std::ostringstream deferred_field(std::ios::binary);
+    const std::size_t mode_at = prefix.bytes().size();
+    ckpt::writer deferred_field;
     ckpt::write_u64(deferred_field, static_cast<std::uint64_t>(refit_mode::deferred));
-    ASSERT_EQ(good.substr(mode_at, deferred_field.str().size()), deferred_field.str())
+    ASSERT_EQ(good.substr(mode_at, deferred_field.bytes().size()), deferred_field.bytes())
         << "refit-mode field not where the format says it is";
 
-    std::ostringstream two_field(std::ios::binary);
+    ckpt::writer two_field;
     ckpt::write_u64(two_field, 2);
     std::string patched = good;
-    patched.replace(mode_at, two_field.str().size(), two_field.str());
+    patched.replace(mode_at, two_field.bytes().size(), two_field.bytes());
 
     {
-        std::istringstream in(good, std::ios::binary);
+        ckpt::reader in(good);
         EXPECT_NO_THROW((void)streaming_diagnoser::restore(in));
     }
-    std::istringstream in(patched, std::ios::binary);
+    ckpt::reader in(patched);
     try {
         (void)streaming_diagnoser::restore(in);
         FAIL() << "refit mode 2 restored";
-    } catch (const std::runtime_error& e) {
+    } catch (const ckpt::format_error& e) {
         EXPECT_NE(std::string(e.what()).find("malformed refit mode"), std::string::npos)
             << e.what();
     }
@@ -512,10 +509,9 @@ TEST_F(StreamingFixture, QueuedRefitSurvivesCheckpointRoundTrip) {
 
     const std::string path = temp_checkpoint_path("queued_refit.ckpt");
     save_stream_detector(live, path);
-    streaming_diagnoser restored = [&] {
-        std::ifstream in(path, std::ios::binary);
-        return streaming_diagnoser::restore(in);
-    }();
+    const std::string bytes = ckpt::read_file(path);
+    ckpt::reader in(bytes);
+    streaming_diagnoser restored = streaming_diagnoser::restore(in);
     EXPECT_TRUE(restored.refit_queued());
 
     for (std::size_t r = 12; r < 70; ++r) {
@@ -544,10 +540,12 @@ TEST_F(StreamingFixture, BlockingModeSwapsAtTheTriggerBin) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint portability: a committed golden fixture either replays
-// bit-exactly or is rejected with a clear endianness error -- the
-// host-endian format documented in ROADMAP.md, regression-tested instead
-// of silently broken.
+// Golden fixtures: committed checkpoints (written on a little-endian
+// x86-64 host) that must load, re-save byte-identically and replay a
+// fixed portable bin sequence to a committed after-state. The encoding is
+// little-endian by definition, so this holds on a host of either byte
+// order. Records the reader no longer accepts fail with errors that say
+// why.
 // ---------------------------------------------------------------------------
 
 // Fully portable deterministic measurements: raw mt19937_64 output (a
@@ -570,13 +568,30 @@ std::string golden_fixture_path(const char* name) {
     return std::string(NETDIAG_TEST_DATA_DIR) + "/" + name;
 }
 
-std::string read_file_bytes(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.is_open()) << "missing fixture " << path
-                              << " (regenerate with NETDIAG_REGEN_GOLDEN=1)";
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+std::string saved_bytes(stream_detector& det) {
+    ckpt::writer out;
+    det.save(out);
+    return out.release();
+}
+
+// Little-endian 8-byte word, as the codec lays out every integer.
+std::string le64(std::uint64_t v) {
+    std::string b(8, '\0');
+    for (std::size_t i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    return b;
+}
+
+// Expects load_stream_detector to reject `bytes` with a format_error
+// whose message contains `needle`.
+void expect_load_rejected(const std::string& bytes, const char* needle, const char* what) {
+    ckpt::reader in(bytes);
+    try {
+        (void)load_stream_detector(in);
+        ADD_FAILURE() << what << " was accepted";
+    } catch (const ckpt::format_error& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << what << ": got \"" << e.what() << "\"";
+    }
 }
 
 constexpr std::size_t k_golden_dim = 6;
@@ -586,7 +601,8 @@ constexpr std::size_t k_golden_prefix_bins = 8;   // folded into the fixture
 constexpr std::size_t k_golden_replay_bins = 16;  // replayed by the test
 
 TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
-    const std::string fixture = golden_fixture_path("golden_tracking_detector.ckpt");
+    const std::string fixture =
+        golden_fixture_path("golden_tracking_detector_interchange.ckpt");
     const std::string after = golden_fixture_path("golden_tracking_detector_after.ckpt");
     const matrix bins =
         golden_measurements(k_golden_prefix_bins + k_golden_replay_bins, k_golden_dim, 99);
@@ -597,228 +613,56 @@ TEST(GoldenCheckpoint, ReplaysBitExactlyOrRejectsForeignEndianness) {
         for (std::size_t r = 0; r < k_golden_prefix_bins; ++r) det.push(bins.row(r));
         save_stream_detector(det, fixture);
         for (std::size_t r = k_golden_prefix_bins; r < bins.rows(); ++r) det.push(bins.row(r));
-        save_stream_detector(det, after, ckpt::encoding::interchange);
+        save_stream_detector(det, after);
         GTEST_SKIP() << "regenerated golden fixtures in " << NETDIAG_TEST_DATA_DIR;
     }
 
-    if constexpr (std::endian::native != std::endian::little) {
-        // The committed fixtures were written on a little-endian host: a
-        // big-endian build must reject them loudly, not replay garbage.
-        try {
-            load_stream_detector(fixture);
-            FAIL() << "foreign-endian checkpoint was accepted";
-        } catch (const std::runtime_error& e) {
-            EXPECT_NE(std::string(e.what()).find("endianness"), std::string::npos)
-                << "rejection should name the endianness mismatch, got: " << e.what();
-        }
-        return;
-    }
-
-    // Little-endian host: the fixture must load and replay the exact
-    // detection sequence. (Bit-exactness across builds assumes IEEE
-    // doubles without FMA contraction in the fold path -- true of the
-    // x86-64 gcc/clang configurations CI exercises.)
+    // The fixture loads, re-saves to the same bytes, and replays the
+    // exact detection sequence. (Bit-exactness across builds assumes
+    // IEEE doubles without FMA contraction in the fold path; the build
+    // pins -ffp-contract=off.)
+    const std::string fixture_bytes = ckpt::read_file(fixture);
     std::unique_ptr<stream_detector> restored = load_stream_detector(fixture);
     ASSERT_EQ(restored->dimension(), k_golden_dim);
     ASSERT_EQ(restored->processed(), k_golden_prefix_bins);
+    EXPECT_EQ(saved_bytes(*restored), fixture_bytes)
+        << "re-saving the loaded tracking fixture changed its bytes";
     for (std::size_t r = k_golden_prefix_bins; r < bins.rows(); ++r) {
         restored->push_bin(bins.row(r));
     }
-    std::ostringstream replayed;
-    ckpt::set_encoding(replayed, ckpt::encoding::interchange);
-    restored->save(replayed);
-    EXPECT_EQ(replayed.str(), read_file_bytes(after))
+    EXPECT_EQ(saved_bytes(*restored), ckpt::read_file(after))
         << "replaying the golden checkpoint no longer reproduces the committed state; "
            "if the format or the fold arithmetic changed intentionally, regenerate with "
            "NETDIAG_REGEN_GOLDEN=1";
+
+    // The same record from a writer that laid its words out in the other
+    // byte order: the magic word arrives reversed and the record is
+    // rejected at that first word, never replayed as garbage.
+    std::string swapped = fixture_bytes;
+    std::reverse(swapped.begin(), swapped.begin() + 8);
+    expect_load_rejected(swapped, "endianness", "byte-swapped interchange record");
 }
 
 TEST(GoldenCheckpoint, ByteSwappedMagicIsRejectedWithAnEndiannessError) {
-    // Simulates reading a checkpoint from an opposite-endian host on any
-    // platform: the magic word arrives byte-reversed.
-    std::ostringstream out;
-    ckpt::write_header(out, "tracking_detector");
-    std::string bytes = out.str();
-    std::reverse(bytes.begin(), bytes.begin() + 8);
-
-    std::istringstream in(bytes);
-    try {
-        ckpt::read_header(in);
-        FAIL() << "byte-swapped magic was accepted";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("endianness"), std::string::npos)
-            << "got: " << e.what();
+    // A version-2 record in the retired host-endian native encoding
+    // ("NDSDCK1" magic, untagged words), as written by a little-endian
+    // and by a big-endian host. Both fail at the magic word.
+    constexpr std::uint64_t k_native_magic = 0x314b434453444eull;
+    const std::string tag = "tracking_detector";
+    const std::string le_record = le64(k_native_magic) + le64(2) + le64(tag.size()) + tag;
+    std::string be_record = le_record;
+    for (std::size_t word = 0; word < 24; word += 8) {
+        std::reverse(be_record.begin() + static_cast<std::ptrdiff_t>(word),
+                     be_record.begin() + static_cast<std::ptrdiff_t>(word + 8));
     }
+    expect_load_rejected(le_record, "native encoding", "little-endian native record");
+    expect_load_rejected(be_record, "endianness", "big-endian native record");
 }
 
 // ---------------------------------------------------------------------------
-// Interchange portability: the tagged little-endian encoding loads on
-// any host, including from an opposite-endian writer, and re-encoding
-// round trips byte-identically (docs/CHECKPOINT_FORMAT.md).
-// ---------------------------------------------------------------------------
-
-// Simulates an opposite-endian interchange writer by walking the tagged
-// token stream and reversing every 8-byte word -- exactly what a
-// big-endian host that wrote words in its native order would produce.
-// The tokens are self-contained ('U'/'F' word, 'S' length + raw bytes,
-// 'V' count + doubles, 'M' rows + cols + doubles), so the walk needs no
-// schema. Lengths are read as little-endian BEFORE their field is
-// swapped; string payloads are raw bytes and stay untouched.
-std::string byte_swapped_interchange(const std::string& bytes) {
-    auto le64_at = [&](std::size_t pos) {
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes.at(pos + i)))
-                 << (8 * i);
-        }
-        return v;
-    };
-    std::string out = bytes;
-    auto swap_word = [&](std::size_t pos) {
-        std::reverse(out.begin() + static_cast<std::ptrdiff_t>(pos),
-                     out.begin() + static_cast<std::ptrdiff_t>(pos + 8));
-    };
-    swap_word(0);  // untagged magic
-    std::size_t pos = 8;
-    while (pos < bytes.size()) {
-        // Container records nest detector records whole, inner header
-        // included -- an untagged magic word may appear mid-stream.
-        constexpr std::uint64_t k_interchange_magic = 0x3149434453444eull;  // "NDSDCI1"
-        if (pos + 8 <= bytes.size() && le64_at(pos) == k_interchange_magic) {
-            swap_word(pos);
-            pos += 8;
-            continue;
-        }
-        const char tag = bytes.at(pos++);
-        switch (tag) {
-            case 'U':
-            case 'F':
-                swap_word(pos);
-                pos += 8;
-                break;
-            case 'S': {
-                const std::uint64_t len = le64_at(pos);
-                swap_word(pos);
-                pos += 8 + len;
-                break;
-            }
-            case 'V': {
-                const std::uint64_t count = le64_at(pos);
-                swap_word(pos);
-                pos += 8;
-                for (std::uint64_t i = 0; i < count; ++i, pos += 8) swap_word(pos);
-                break;
-            }
-            case 'M': {
-                const std::uint64_t rows = le64_at(pos);
-                const std::uint64_t cols = le64_at(pos + 8);
-                swap_word(pos);
-                swap_word(pos + 8);
-                pos += 16;
-                for (std::uint64_t i = 0; i < rows * cols; ++i, pos += 8) swap_word(pos);
-                break;
-            }
-            default:
-                ADD_FAILURE() << "unknown interchange tag '" << tag << "' at " << pos - 1;
-                return out;
-        }
-    }
-    EXPECT_EQ(pos, bytes.size()) << "interchange walk overran the record";
-    return out;
-}
-
-TEST(GoldenCheckpoint, InterchangeFixturesLoadOnAnyHostIncludingByteSwapped) {
-    const std::string fixture =
-        golden_fixture_path("golden_tracking_detector_interchange.ckpt");
-    const std::string swapped_fixture =
-        golden_fixture_path("golden_tracking_detector_interchange_swapped.ckpt");
-    const std::string after = golden_fixture_path("golden_tracking_detector_after.ckpt");
-    const matrix bins =
-        golden_measurements(k_golden_prefix_bins + k_golden_replay_bins, k_golden_dim, 99);
-
-    if (std::getenv("NETDIAG_REGEN_GOLDEN") != nullptr) {
-        // Same detector state as the native golden fixture, saved in
-        // interchange -- plus the byte-swapped variant an opposite-endian
-        // writer would have produced.
-        tracking_detector det(golden_measurements(k_golden_boot_rows, k_golden_dim, 1234),
-                              k_golden_rank);
-        for (std::size_t r = 0; r < k_golden_prefix_bins; ++r) det.push(bins.row(r));
-        save_stream_detector(det, fixture, ckpt::encoding::interchange);
-        std::ofstream swapped_out(swapped_fixture, std::ios::binary);
-        const std::string swapped = byte_swapped_interchange(read_file_bytes(fixture));
-        swapped_out.write(swapped.data(),
-                          static_cast<std::streamsize>(swapped.size()));
-        GTEST_SKIP() << "regenerated interchange fixtures in " << NETDIAG_TEST_DATA_DIR;
-    }
-
-    // The committed swapped fixture is exactly the swapper's output --
-    // the two fixtures are the same record in opposite byte orders.
-    EXPECT_EQ(read_file_bytes(swapped_fixture),
-              byte_swapped_interchange(read_file_bytes(fixture)));
-
-    // Both byte orders load EVERYWHERE -- that is the point of the
-    // encoding; no endianness gate, unlike the native fixture above.
-    std::unique_ptr<stream_detector> restored = load_stream_detector(fixture);
-    std::unique_ptr<stream_detector> from_swapped = load_stream_detector(swapped_fixture);
-    ASSERT_EQ(restored->dimension(), k_golden_dim);
-    ASSERT_EQ(restored->processed(), k_golden_prefix_bins);
-    ASSERT_EQ(from_swapped->processed(), k_golden_prefix_bins);
-
-    // Replay both; they must land in identical states on any host.
-    for (std::size_t r = k_golden_prefix_bins; r < bins.rows(); ++r) {
-        restored->push_bin(bins.row(r));
-        from_swapped->push_bin(bins.row(r));
-    }
-    std::ostringstream replayed, replayed_swapped;
-    ckpt::set_encoding(replayed, ckpt::encoding::interchange);
-    ckpt::set_encoding(replayed_swapped, ckpt::encoding::interchange);
-    restored->save(replayed);
-    from_swapped->save(replayed_swapped);
-    EXPECT_EQ(replayed.str(), replayed_swapped.str());
-
-    if constexpr (std::endian::native == std::endian::little) {
-        // And on the fixtures' native-matching host, the replay state is
-        // the SAME state the native golden replay reaches.
-        EXPECT_EQ(replayed.str(), read_file_bytes(after))
-            << "interchange replay diverged from the native golden replay; regenerate "
-               "with NETDIAG_REGEN_GOLDEN=1 if the format changed intentionally";
-    }
-}
-
-TEST(GoldenCheckpoint, ConvertCheckpointRoundTripsByteIdentically) {
-    if (std::getenv("NETDIAG_REGEN_GOLDEN") != nullptr) {
-        GTEST_SKIP() << "fixtures being regenerated";
-    }
-    if constexpr (std::endian::native != std::endian::little) {
-        GTEST_SKIP() << "native fixtures are little-endian";
-    }
-    const std::string native_fixture = golden_fixture_path("golden_tracking_detector.ckpt");
-    const std::string interchange_fixture =
-        golden_fixture_path("golden_tracking_detector_interchange.ckpt");
-    const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / "convert_roundtrip";
-    std::filesystem::create_directories(dir);
-    const std::string to_interchange = (dir / "a.ckpt").string();
-    const std::string back_to_native = (dir / "b.ckpt").string();
-
-    // native -> interchange reproduces the committed interchange fixture
-    // (same state, same deterministic encoder) ...
-    convert_checkpoint(native_fixture, to_interchange, ckpt::encoding::interchange);
-    EXPECT_EQ(read_file_bytes(to_interchange), read_file_bytes(interchange_fixture));
-
-    // ... and interchange -> native reproduces the original bytes.
-    convert_checkpoint(to_interchange, back_to_native, ckpt::encoding::native);
-    EXPECT_EQ(read_file_bytes(back_to_native), read_file_bytes(native_fixture));
-    std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Interchange fixtures for the records a migration actually moves: a
+// Fixtures for the records a migration actually moves: a
 // streaming_diagnoser with a pending refit AND a filled queued-refit
 // slot, and a stream_server container holding unapplied inbox residue.
-// Each fixture loads, re-saves byte-identically, and replays a fixed
-// bin sequence to a committed after-state.
 // ---------------------------------------------------------------------------
 
 // 6 links x 9 OD flows; every flow crosses two links, so every column of
@@ -842,13 +686,6 @@ streaming_config golden_streaming_config() {
     return cfg;
 }
 
-std::string interchange_bytes(stream_detector& det) {
-    std::ostringstream out(std::ios::binary);
-    ckpt::set_encoding(out, ckpt::encoding::interchange);
-    det.save(out);
-    return std::move(out).str();
-}
-
 constexpr std::size_t k_golden_diag_prefix_bins = 12;  // trigger at 5 pending, 10 queued
 constexpr std::size_t k_golden_diag_replay_bins = 40;
 
@@ -865,30 +702,28 @@ TEST(GoldenCheckpoint, DiagnoserWithQueuedRefitReplaysAndResavesByteIdentically)
         for (std::size_t r = 0; r < k_golden_diag_prefix_bins; ++r) det.push(bins.row(r));
         ASSERT_TRUE(det.refit_pending());
         ASSERT_TRUE(det.refit_queued());
-        save_stream_detector(det, fixture, ckpt::encoding::interchange);
+        save_stream_detector(det, fixture);
         for (std::size_t r = k_golden_diag_prefix_bins; r < bins.rows(); ++r) {
             det.push(bins.row(r));
         }
-        save_stream_detector(det, after, ckpt::encoding::interchange);
+        save_stream_detector(det, after);
         GTEST_SKIP() << "regenerated diagnoser fixtures in " << NETDIAG_TEST_DATA_DIR;
     }
 
-    const std::string fixture_bytes = read_file_bytes(fixture);
-    streaming_diagnoser restored = [&] {
-        std::istringstream in(fixture_bytes, std::ios::binary);
-        return streaming_diagnoser::restore(in);
-    }();
+    const std::string fixture_bytes = ckpt::read_file(fixture);
+    ckpt::reader in(fixture_bytes);
+    streaming_diagnoser restored = streaming_diagnoser::restore(in);
     ASSERT_EQ(restored.processed(), k_golden_diag_prefix_bins);
     EXPECT_TRUE(restored.refit_pending());
     EXPECT_TRUE(restored.refit_queued());
-    EXPECT_EQ(interchange_bytes(restored), fixture_bytes)
+    EXPECT_EQ(saved_bytes(restored), fixture_bytes)
         << "re-saving the loaded diagnoser fixture changed its bytes";
 
     for (std::size_t r = k_golden_diag_prefix_bins; r < bins.rows(); ++r) {
         restored.push(bins.row(r));
     }
     EXPECT_GE(restored.refit_count(), 2u);
-    EXPECT_EQ(interchange_bytes(restored), read_file_bytes(after))
+    EXPECT_EQ(saved_bytes(restored), ckpt::read_file(after))
         << "replaying the diagnoser fixture no longer reproduces the committed state; "
            "regenerate with NETDIAG_REGEN_GOLDEN=1 only after an intentional change";
 }
@@ -897,6 +732,9 @@ constexpr std::size_t k_golden_server_applied_bins = 6;
 constexpr std::size_t k_golden_server_residue_bins = 3;
 constexpr std::size_t k_golden_server_replay_bins = 10;
 
+// Goes through the std::ostream / std::istream overloads of
+// snapshot_stream / restore_stream on purpose: stream-based callers
+// still use them.
 TEST(GoldenCheckpoint, ServerStreamWithInboxResidueReplaysAndResavesByteIdentically) {
     const std::string fixture = golden_fixture_path("golden_server_stream_interchange.ckpt");
     const std::string after = golden_fixture_path("golden_server_stream_after.ckpt");
@@ -931,13 +769,13 @@ TEST(GoldenCheckpoint, ServerStreamWithInboxResidueReplaysAndResavesByteIdentica
             if (r + 1 == k_golden_server_applied_bins) server.flush_stream(id);
         }
         ASSERT_EQ(server.ingest_statistics(id).pending, k_golden_server_residue_bins);
-        std::ofstream(fixture, std::ios::binary) << snapshot(server, id);
+        ckpt::write_file(fixture, snapshot(server, id));
         replay(server, id);
-        std::ofstream(after, std::ios::binary) << snapshot(server, id);
+        ckpt::write_file(after, snapshot(server, id));
         GTEST_SKIP() << "regenerated server_stream fixtures in " << NETDIAG_TEST_DATA_DIR;
     }
 
-    const std::string fixture_bytes = read_file_bytes(fixture);
+    const std::string fixture_bytes = ckpt::read_file(fixture);
     stream_server server({.threads = 0});
     const stream_id id = [&] {
         std::istringstream in(fixture_bytes, std::ios::binary);
@@ -951,98 +789,60 @@ TEST(GoldenCheckpoint, ServerStreamWithInboxResidueReplaysAndResavesByteIdentica
 
     replay(server, id);
     EXPECT_EQ(server.ingest_statistics(id).applied, bins.rows());
-    EXPECT_EQ(snapshot(server, id), read_file_bytes(after))
+    EXPECT_EQ(snapshot(server, id), ckpt::read_file(after))
         << "replaying the server_stream fixture no longer reproduces the committed state; "
            "regenerate with NETDIAG_REGEN_GOLDEN=1 only after an intentional change";
 }
 
 // ---------------------------------------------------------------------------
-// Hostile headers: sizes are validated against the actual stream length
+// Hostile headers: sizes are validated against the bytes actually left
 // BEFORE any allocation (the 2^60-bin regression).
 // ---------------------------------------------------------------------------
 
 TEST(StreamCheckpoint, HeaderSizeLiesFailBeforeAllocation) {
-    const auto expect_throws_with = [](const std::string& bytes, bool interchange,
-                                       const char* needle, const char* what) {
-        std::istringstream in(bytes, std::ios::binary);
-        if (interchange) ckpt::set_encoding(in, ckpt::encoding::interchange);
+    const auto expect_throws_with = [](const std::string& bytes, const char* needle,
+                                       const char* what, auto read) {
+        ckpt::reader in(bytes);
         try {
-            (void)ckpt::read_vec(in);
+            (void)read(in);
             FAIL() << what << ": a lying header was accepted";
-        } catch (const std::runtime_error& e) {
+        } catch (const ckpt::format_error& e) {
             EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
                 << what << ": got \"" << e.what() << "\"";
         }
     };
-    const auto le64 = [](std::uint64_t v) {
-        std::string b(8, '\0');
-        for (std::size_t i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-        return b;
-    };
+    const auto read_vec = [](ckpt::reader& in) { return ckpt::read_vec(in); };
+    const auto read_matrix = [](ckpt::reader& in) { return ckpt::read_matrix(in); };
 
     // A header claiming 2^60 bins trips the absolute cap -- no allocation
     // is ever attempted.
-    expect_throws_with(std::string("V") + le64(1ull << 60), true, "too large",
-                       "interchange 2^60-element vector");
+    expect_throws_with(std::string("V") + le64(1ull << 60), "too large",
+                       "2^60-element vector", read_vec);
 
     // A claim UNDER the cap but over the bytes actually present trips the
-    // remaining-input validation -- the distinct new check.
-    expect_throws_with(std::string("V") + le64(1u << 20) + std::string(64, '\0'), true,
-                       "exceeds remaining input", "interchange over-length vector");
-
-    // Same validation on the native path.
-    std::string native_lie = le64(1u << 20);  // native u64 count on an LE host
-    if constexpr (std::endian::native != std::endian::little) {
-        std::reverse(native_lie.begin(), native_lie.end());
-    }
-    expect_throws_with(native_lie + std::string(64, '\0'), false,
-                       "exceeds remaining input", "native over-length vector");
+    // remaining-input validation.
+    expect_throws_with(std::string("V") + le64(1u << 20) + std::string(64, '\0'),
+                       "exceeds remaining input", "over-length vector", read_vec);
 
     // Matrices: absolute cap and remaining-input check both hold.
-    {
-        std::istringstream in(std::string("M") + le64(1ull << 60) + le64(4),
-                              std::ios::binary);
-        ckpt::set_encoding(in, ckpt::encoding::interchange);
-        EXPECT_THROW((void)ckpt::read_matrix(in), std::runtime_error);
-    }
-    {
-        std::istringstream in(
-            std::string("M") + le64(1000) + le64(1000) + std::string(128, '\0'),
-            std::ios::binary);
-        ckpt::set_encoding(in, ckpt::encoding::interchange);
-        try {
-            (void)ckpt::read_matrix(in);
-            FAIL() << "over-length matrix was accepted";
-        } catch (const std::runtime_error& e) {
-            EXPECT_NE(std::string(e.what()).find("exceeds remaining input"),
-                      std::string::npos)
-                << "got: " << e.what();
-        }
-    }
+    expect_throws_with(std::string("M") + le64(1ull << 60) + le64(4), "too large",
+                       "2^60-row matrix", read_matrix);
+    expect_throws_with(std::string("M") + le64(1000) + le64(1000) + std::string(128, '\0'),
+                       "exceeds remaining input", "over-length matrix", read_matrix);
 
     // Strings too: a length lie inside a record (e.g. a type tag) fails
-    // the same way through the full loader.
-    {
-        std::ostringstream rec(std::ios::binary);
-        ckpt::set_encoding(rec, ckpt::encoding::interchange);
-        ckpt::write_header(rec, "tracking_detector");
-        std::string bytes = std::move(rec).str();
-        // Header layout: 8-byte magic, 'U' + 8-byte version, then the
-        // type tag's 'S' token at 17 with its length field at 18. Lie in
-        // the length without adding bytes.
-        constexpr std::size_t len_pos = 8 + 1 + 8 + 1;
-        ASSERT_EQ(bytes.at(len_pos - 1), 'S');
-        bytes.replace(len_pos, 8, le64(1u << 19));
-        std::istringstream in(bytes, std::ios::binary);
-        try {
-            (void)ckpt::read_header_info(in);
-            FAIL() << "string length lie was accepted";
-        } catch (const std::runtime_error& e) {
-            EXPECT_NE(std::string(e.what()).find("exceeds remaining input"),
-                      std::string::npos)
-                << "got: " << e.what();
-        }
-    }
+    // the same way through the header reader.
+    ckpt::writer rec;
+    ckpt::write_header(rec, "tracking_detector");
+    std::string bytes = rec.release();
+    // Header layout: 8-byte magic, 'U' + 8-byte version, then the type
+    // tag's 'S' token at 17 with its length field at 18. Lie in the
+    // length without adding bytes.
+    constexpr std::size_t len_pos = 8 + 1 + 8 + 1;
+    ASSERT_EQ(bytes.at(len_pos - 1), 'S');
+    bytes.replace(len_pos, 8, le64(1u << 19));
+    expect_throws_with(bytes, "exceeds remaining input", "string length lie",
+                       [](ckpt::reader& in) { return ckpt::read_header(in); });
 }
 
 }  // namespace

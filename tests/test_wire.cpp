@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -456,7 +455,7 @@ TEST(WireFuzz, ThreeThousandMutatedRequestsNeverPartiallyApply) {
 
 // Interchange record mutations through the checkpoint loader: the other
 // half of the payload surface (req_restore bodies ARE records). The
-// loader must throw std::runtime_error on every malformed record --
+// loader must throw ckpt::format_error on every malformed record --
 // never crash, never allocate from a lying header (the remaining-bytes
 // validation), never succeed-and-desync (tag stream violations throw).
 TEST(WireFuzz, TwoThousandMutatedInterchangeRecordsNeverCrashTheLoader) {
@@ -467,14 +466,13 @@ TEST(WireFuzz, TwoThousandMutatedInterchangeRecordsNeverCrashTheLoader) {
         }
     }
     tracking_detector det(boot, 2);
-    std::ostringstream rec(std::ios::binary);
-    ckpt::set_encoding(rec, ckpt::encoding::interchange);
+    ckpt::writer rec;
     det.save(rec);
-    const std::string record = std::move(rec).str();
+    const std::string record = rec.release();
 
     // The unmutated record must load (otherwise the fuzz tests nothing).
     {
-        std::istringstream in(record, std::ios::binary);
+        ckpt::reader in(record);
         EXPECT_NO_THROW((void)load_stream_detector(in));
     }
 
@@ -482,10 +480,10 @@ TEST(WireFuzz, TwoThousandMutatedInterchangeRecordsNeverCrashTheLoader) {
     std::size_t rejected = 0;
     for (std::size_t i = 0; i < 2000; ++i) {
         const std::string mutated = mutate(record, rng);
-        std::istringstream in(mutated, std::ios::binary);
+        ckpt::reader in(mutated);
         try {
             (void)load_stream_detector(in);
-        } catch (const std::runtime_error&) {
+        } catch (const ckpt::format_error&) {
             ++rejected;  // the clean typed outcome
         }
     }
