@@ -50,13 +50,6 @@ std::uint64_t get_le64(const char* b) {
     return v;
 }
 
-// std::byteswap is C++23.
-constexpr std::uint64_t byteswap_u64(std::uint64_t v) {
-    v = ((v & 0x00ff00ff00ff00ffull) << 8) | ((v >> 8) & 0x00ff00ff00ff00ffull);
-    v = ((v & 0x0000ffff0000ffffull) << 16) | ((v >> 16) & 0x0000ffff0000ffffull);
-    return (v << 32) | (v >> 32);
-}
-
 // A tag byte followed by one little-endian word.
 void write_tagged(writer& out, char tag, std::uint64_t value) {
     char b[9];
@@ -110,11 +103,12 @@ void write_doubles(writer& out, const double* data, std::size_t count) {
 
 void read_doubles(reader& in, double* data, std::size_t count) {
     if (count == 0) return;
-    std::memcpy(data, in.take(count * sizeof(double)).data(), count * sizeof(double));
-    if constexpr (!k_host_little) {
+    const std::string_view bytes = in.take(count * sizeof(double));
+    if constexpr (k_host_little) {
+        std::memcpy(data, bytes.data(), bytes.size());
+    } else {
         for (std::size_t i = 0; i < count; ++i) {
-            const std::uint64_t bits = byteswap_u64(std::bit_cast<std::uint64_t>(data[i]));
-            data[i] = std::bit_cast<double>(bits);
+            data[i] = std::bit_cast<double>(get_le64(bytes.data() + 8 * i));
         }
     }
 }
