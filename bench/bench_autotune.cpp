@@ -31,7 +31,6 @@
 #include "linalg/eigen_sym.h"
 #include "linalg/ops.h"
 #include "linalg/svd.h"
-#include "linalg/svd_update.h"
 #include "measurement/presets.h"
 #include "serve/stream_server.h"
 #include "subspace/diagnoser.h"
@@ -299,23 +298,6 @@ int main(int argc, char** argv) {
             },
             [](std::size_t n) { return n; }));
 
-        reports.push_back(probe_gate(
-            "svd_update_parallel_min_work", &tuning::svd_update_parallel_min_work,
-            quick ? std::vector<std::size_t>{4096, 16384}
-                  : std::vector<std::size_t>{1024, 4096, 16384, 65536},
-            pool,
-            [&](std::size_t m, thread_pool* p) {
-                const std::size_t k = 32;
-                right_svd base;
-                base.v = random_matrix(m, k, 20 + m);
-                base.s.assign(k, 1.0);
-                const matrix row = random_matrix(1, m, 21 + m);
-                const scoped_tuning guard;
-                global_tuning().svd_update_parallel_min_work = 1;
-                return time_best_ms(iterations, [&] { append_row(base, row.row(0), k, p); });
-            },
-            [](std::size_t m) { return m * 32; }));
-
         // diagnose_grain: argmin over the pooled full-pipeline sweep.
         {
             const dataset ds = make_sprint1_dataset();
@@ -352,7 +334,7 @@ int main(int argc, char** argv) {
             const auto contended_ingest_ms = [&] {
                 stream_server server({.threads = 0});
                 stream_open_config cfg;
-                cfg.kind = stream_kind::tracker;
+                cfg.kind = stream_kind::tracking;
                 cfg.bootstrap_y = boot;
                 cfg.max_rank = 4;
                 cfg.ingest.capacity = 64;
@@ -430,7 +412,6 @@ int main(int argc, char** argv) {
         else if (r.name == "pca_projection_min_work") tuned.pca_projection_min_work = r.chosen;
         else if (r.name == "ql_parallel_min_work") tuned.ql_parallel_min_work = r.chosen;
         else if (r.name == "jacobi_parallel_min_dim") tuned.jacobi_parallel_min_dim = r.chosen;
-        else if (r.name == "svd_update_parallel_min_work") tuned.svd_update_parallel_min_work = r.chosen;
         else if (r.name == "diagnose_grain") tuned.diagnose_grain = r.chosen;
         else if (r.name == "role_wait_spin_yields") tuned.role_wait_spin_yields = r.chosen;
         else if (r.name == "role_wait_sleep_us") tuned.role_wait_sleep_us = r.chosen;

@@ -119,12 +119,11 @@ struct parallel_for_sync {
 // no-op. Results must be written to per-index slots by the body — the
 // chunking itself imposes no ordering on side effects.
 //
-// Called from inside a job of the same pool (e.g. the pooled rank-1 fold
-// a deferred tracking_detector runs as a pool task), the dispatch
-// degrades to a plain serial loop: results are bit-identical either way
-// by the kernels' fixed-block contract, and the alternative — parking
-// this worker on chunks that may be queued behind other parked workers —
-// is the deadlock the no-nesting rule exists to prevent.
+// Called from inside a job of the same pool, the dispatch degrades to a
+// plain serial loop: results are bit-identical either way by the
+// kernels' fixed-block contract, and the alternative — parking this
+// worker on chunks that may be queued behind other parked workers — is
+// the deadlock the no-nesting rule exists to prevent.
 template <typename Body>
 void parallel_for(thread_pool& pool, std::size_t begin, std::size_t end, Body&& body) {
     if (begin >= end) return;

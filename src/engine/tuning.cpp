@@ -42,7 +42,6 @@ constexpr knob_field k_knob_fields[] = {
     {"jacobi_parallel_min_dim", &tuning::jacobi_parallel_min_dim},
     {"svd_row_block", &tuning::svd_row_block},
     {"svd_parallel_min_rows", &tuning::svd_parallel_min_rows},
-    {"svd_update_parallel_min_work", &tuning::svd_update_parallel_min_work},
     {"diagnose_grain", &tuning::diagnose_grain},
     {"parallel_min_hardware", &tuning::parallel_min_hardware},
     {"ingest_inbox_capacity", &tuning::ingest_inbox_capacity},

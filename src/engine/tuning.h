@@ -45,9 +45,6 @@ struct tuning {
     std::size_t svd_row_block = 512;               // moment block width (numerical contract)
     std::size_t svd_parallel_min_rows = 8192;      // row-count gate (scheduling)
 
-    // --- linalg/svd_update.cpp: rank-1 row update ------------------------
-    std::size_t svd_update_parallel_min_work = 1u << 15;  // m*k gate (scheduling)
-
     // --- engine/batch_detector.cpp: diagnose_all chunking ----------------
     std::size_t diagnose_grain = 16;  // dynamic chunk size (scheduling)
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/ops.h"
 #include "linalg/svd.h"
 #include "linalg/vector_ops.h"
@@ -20,46 +18,24 @@ right_svd right_svd_of(const matrix& y, thread_pool* pool) {
 }
 
 right_svd append_row(const right_svd& current, std::span<const double> y, std::size_t max_rank) {
-    return append_row(current, y, max_rank, nullptr);
-}
-
-right_svd append_row(const right_svd& current, std::span<const double> y, std::size_t max_rank,
-                     thread_pool* pool) {
     const std::size_t m = current.v.rows();
     const std::size_t k = current.v.cols();
     if (y.size() != m) throw std::invalid_argument("append_row: row size mismatch");
     if (max_rank == 0) throw std::invalid_argument("append_row: max_rank must be positive");
 
-    const bool shard = pool != nullptr && parallel_hardware_ok() &&
-                       m * std::max<std::size_t>(k, 1) >=
-                           global_tuning().svd_update_parallel_min_work;
-
     // Split y into its component inside span(V) and the residual direction.
-    // p[j] is an independent dot over column j and resid[r] folds the k
-    // coefficients in ascending j per row, so both stages write each output
-    // element with one fixed arithmetic sequence -- shardable bit-identically.
     vec p(k, 0.0);
-    const auto coefficient = [&](std::size_t j) {
+    for (std::size_t j = 0; j < k; ++j) {
         double acc = 0.0;
         for (std::size_t r = 0; r < m; ++r) acc += current.v(r, j) * y[r];
         p[j] = acc;
-    };
-    if (shard) {
-        parallel_for(*pool, 0, k, coefficient);
-    } else {
-        for (std::size_t j = 0; j < k; ++j) coefficient(j);
     }
 
     vec resid(m, 0.0);
-    const auto residual_row = [&](std::size_t r) {
+    for (std::size_t r = 0; r < m; ++r) {
         double acc = y[r];
         for (std::size_t j = 0; j < k; ++j) acc -= p[j] * current.v(r, j);
         resid[r] = acc;
-    };
-    if (shard) {
-        parallel_for(*pool, 0, m, residual_row);
-    } else {
-        for (std::size_t r = 0; r < m; ++r) residual_row(r);
     }
     const double rho = norm(resid);
 
@@ -67,7 +43,6 @@ right_svd append_row(const right_svd& current, std::span<const double> y, std::s
     const std::size_t kk = k + (grow ? 1 : 0);
 
     // Small core matrix K = [diag(s) 0; p^T rho]; Y' = blockdiag(U,1) K [V r]^T.
-    // (kk+1) x kk: far too small to ever benefit from the pool.
     matrix kfull(kk + 1, kk, 0.0);
     for (std::size_t j = 0; j < k; ++j) kfull(j, j) = current.s[j];
     for (std::size_t j = 0; j < k; ++j) kfull(kk, j) = p[j];
@@ -88,17 +63,12 @@ right_svd append_row(const right_svd& current, std::span<const double> y, std::s
     right_svd out;
     out.s.assign(ks.s.begin(), ks.s.begin() + static_cast<std::ptrdiff_t>(keep));
     out.v.assign(m, keep, 0.0);
-    const auto recombine_row = [&](std::size_t r) {
+    for (std::size_t r = 0; r < m; ++r) {
         for (std::size_t j = 0; j < keep; ++j) {
             double acc = 0.0;
             for (std::size_t c = 0; c < kk; ++c) acc += basis(r, c) * ks.v(c, j);
             out.v(r, j) = acc;
         }
-    };
-    if (shard) {
-        parallel_for(*pool, 0, m, recombine_row);
-    } else {
-        for (std::size_t r = 0; r < m; ++r) recombine_row(r);
     }
     return out;
 }

@@ -31,13 +31,8 @@ right_svd right_svd_of(const matrix& y, thread_pool* pool);
 // Update (s, V) after appending row y to the data matrix, keeping at most
 // max_rank components (the smallest is dropped if the update would exceed
 // it). Throws std::invalid_argument if y's size differs from V's rows.
-// A non-null pool shards the O(m k) stages -- the coefficient/residual
-// split and the basis recombination -- each of which computes every output
-// element with the same per-element arithmetic as the serial loop, so the
-// update is bit-identical for every pool size. The small core SVD (k+1
-// square) always runs serially.
+// Serial: the update costs O(m k) plus a (k+1)-square core SVD, far below
+// what pays for a pool dispatch at the stream sizes it serves.
 right_svd append_row(const right_svd& current, std::span<const double> y, std::size_t max_rank);
-right_svd append_row(const right_svd& current, std::span<const double> y, std::size_t max_rank,
-                     thread_pool* pool);
 
 }  // namespace netdiag

@@ -259,11 +259,10 @@ std::unique_ptr<stream_detector> load_stream_detector(ckpt::reader& in, thread_p
         return std::make_unique<streaming_diagnoser>(streaming_diagnoser::restore(in, pool));
     }
     if (tag == "tracking_detector") {
-        return std::make_unique<tracking_detector>(tracking_detector::restore(in, pool));
+        return std::make_unique<tracking_detector>(tracking_detector::restore(in));
     }
     if (tag == "incremental_pca_tracker") {
-        return std::make_unique<incremental_pca_tracker>(
-            incremental_pca_tracker::restore(in, pool));
+        return std::make_unique<incremental_pca_tracker>(incremental_pca_tracker::restore(in));
     }
     throw ckpt::format_error("load_stream_detector: unknown detector tag " + tag);
 }

@@ -2,6 +2,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "net/protocol.h"
@@ -57,13 +58,11 @@ frame dispatch(stream_server& server, const frame& request) {
                                    "stream record of " + std::to_string(bytes.size()) +
                                        " bytes exceeds the frame payload cap");
             }
-            return frame{static_cast<std::uint8_t>(msg_type::resp_snapshot),
-                         encode(snapshot_response{std::move(bytes)})};
+            return frame{static_cast<std::uint8_t>(msg_type::resp_snapshot), std::move(bytes)};
         }
         case msg_type::req_restore: {
-            const restore_request req = decode_restore_request(request.payload);
             try {
-                const stream_id id = server.restore_stream(req.record);
+                const stream_id id = server.restore_stream(std::string_view(request.payload));
                 return frame{static_cast<std::uint8_t>(msg_type::resp_restore),
                              encode(restore_response{id})};
             } catch (const std::runtime_error& e) {

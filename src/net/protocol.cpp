@@ -108,22 +108,6 @@ snapshot_request decode_snapshot_request(std::string_view payload) {
     });
 }
 
-// The record payloads are NOT wrapped in a ckpt string (whose reader
-// caps at 1 MiB): a stream record is self-identifying (it begins with
-// the interchange checkpoint magic) and is carried as the entire
-// remaining payload, bounded by the frame layer's k_max_payload.
-std::string encode(const snapshot_response& x) { return x.record; }
-
-snapshot_response decode_snapshot_response(std::string_view payload) {
-    return snapshot_response{std::string(payload)};
-}
-
-std::string encode(const restore_request& x) { return x.record; }
-
-restore_request decode_restore_request(std::string_view payload) {
-    return restore_request{std::string(payload)};
-}
-
 std::string encode(const restore_response& x) {
     ckpt::writer out;
     ckpt::write_u64(out, x.stream);

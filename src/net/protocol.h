@@ -103,18 +103,10 @@ struct snapshot_request {
     friend bool operator==(const snapshot_request&, const snapshot_request&) = default;
 };
 
-struct snapshot_response {
-    // A complete interchange stream record (self-identifying: it starts
-    // with the interchange checkpoint magic). Feed it to restore_stream
-    // / req_restore verbatim.
-    std::string record;
-    friend bool operator==(const snapshot_response&, const snapshot_response&) = default;
-};
-
-struct restore_request {
-    std::string record;  // as produced by snapshot_response
-    friend bool operator==(const restore_request&, const restore_request&) = default;
-};
+// resp_snapshot and req_restore carry no payload struct: their payload
+// IS the stream record (stream_server::snapshot_stream / restore_stream),
+// self-identifying by its interchange checkpoint magic and bounded only
+// by the frame layer's k_max_payload.
 
 struct restore_response {
     std::uint64_t stream = 0;  // the id the restored stream serves under
@@ -163,8 +155,6 @@ std::string encode(const ingest_batch_request& x);
 std::string encode(const ingest_batch_response& x);
 std::string encode(const flush_request& x);
 std::string encode(const snapshot_request& x);
-std::string encode(const snapshot_response& x);
-std::string encode(const restore_request& x);
 std::string encode(const restore_response& x);
 std::string encode(const stats_request& x);
 std::string encode(const stats_response& x);
@@ -175,8 +165,6 @@ ingest_batch_request decode_ingest_batch_request(std::string_view payload);
 ingest_batch_response decode_ingest_batch_response(std::string_view payload);
 flush_request decode_flush_request(std::string_view payload);
 snapshot_request decode_snapshot_request(std::string_view payload);
-snapshot_response decode_snapshot_response(std::string_view payload);
-restore_request decode_restore_request(std::string_view payload);
 restore_response decode_restore_response(std::string_view payload);
 stats_request decode_stats_request(std::string_view payload);
 stats_response decode_stats_response(std::string_view payload);

@@ -24,9 +24,9 @@ ingest_error to_ingest_error(wire_errc e) {
 remote_collector::remote_collector(std::uint16_t port)
     : sock_(tcp_socket::connect_loopback(port)) {}
 
-frame remote_collector::roundtrip(msg_type request, std::string payload, msg_type expected) {
-    const std::string bytes =
-        encode_frame(static_cast<std::uint8_t>(request), std::move(payload));
+frame remote_collector::roundtrip(msg_type request, std::string_view payload,
+                                  msg_type expected) {
+    const std::string bytes = encode_frame(static_cast<std::uint8_t>(request), payload);
     sock_.send_all(bytes.data(), bytes.size());
 
     frame response;
@@ -87,15 +87,13 @@ stats_response remote_collector::stats(std::uint64_t stream) {
 }
 
 std::string remote_collector::snapshot(std::uint64_t stream, bool detach) {
-    const frame resp = roundtrip(msg_type::req_snapshot,
-                                 encode(snapshot_request{stream, detach}),
-                                 msg_type::resp_snapshot);
-    return decode_snapshot_response(resp.payload).record;
+    frame resp = roundtrip(msg_type::req_snapshot, encode(snapshot_request{stream, detach}),
+                           msg_type::resp_snapshot);
+    return std::move(resp.payload);
 }
 
-std::uint64_t remote_collector::restore(const std::string& record) {
-    const frame resp = roundtrip(msg_type::req_restore, encode(restore_request{record}),
-                                 msg_type::resp_restore);
+std::uint64_t remote_collector::restore(std::string_view record) {
+    const frame resp = roundtrip(msg_type::req_restore, record, msg_type::resp_restore);
     return decode_restore_response(resp.payload).stream;
 }
 

@@ -17,6 +17,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/protocol.h"
@@ -68,7 +69,7 @@ public:
 
     // Installs a record on the server under a fresh id (the migration
     // write side); returns the id to ingest into.
-    std::uint64_t restore(const std::string& record);
+    std::uint64_t restore(std::string_view record);
 
     void close_stream(std::uint64_t stream);
 
@@ -77,7 +78,7 @@ public:
     void shutdown_server();
 
 private:
-    frame roundtrip(msg_type request, std::string payload, msg_type expected);
+    frame roundtrip(msg_type request, std::string_view payload, msg_type expected);
 
     tcp_socket sock_;
     frame_decoder decoder_;

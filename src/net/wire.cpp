@@ -47,27 +47,25 @@ std::uint32_t crc32(std::string_view bytes) noexcept {
     return c ^ 0xFFFFFFFFu;
 }
 
-std::string encode_frame(const frame& f) {
-    if (f.payload.size() > k_max_payload) {
+std::string encode_frame(std::uint8_t type, std::string_view payload) {
+    if (payload.size() > k_max_payload) {
         throw std::invalid_argument("encode_frame: payload of " +
-                                    std::to_string(f.payload.size()) +
+                                    std::to_string(payload.size()) +
                                     " bytes exceeds k_max_payload");
     }
     std::string out;
-    out.reserve(k_wire_header_bytes + f.payload.size() + k_wire_trailer_bytes);
+    out.reserve(k_wire_header_bytes + payload.size() + k_wire_trailer_bytes);
     out.push_back(k_wire_magic0);
     out.push_back(k_wire_magic1);
     out.push_back(static_cast<char>(k_wire_version));
-    out.push_back(static_cast<char>(f.type));
-    put_le32(out, static_cast<std::uint32_t>(f.payload.size()));
-    out += f.payload;
+    out.push_back(static_cast<char>(type));
+    put_le32(out, static_cast<std::uint32_t>(payload.size()));
+    out += payload;
     put_le32(out, crc32(out));
     return out;
 }
 
-std::string encode_frame(std::uint8_t type, std::string payload) {
-    return encode_frame(frame{type, std::move(payload)});
-}
+std::string encode_frame(const frame& f) { return encode_frame(f.type, f.payload); }
 
 const char* frame_error_name(frame_error e) noexcept {
     switch (e) {

@@ -59,8 +59,8 @@ struct frame {
 
 // Serializes a frame: header, payload, CRC trailer. Throws
 // std::invalid_argument when the payload exceeds k_max_payload.
+std::string encode_frame(std::uint8_t type, std::string_view payload);
 std::string encode_frame(const frame& f);
-std::string encode_frame(std::uint8_t type, std::string payload);
 
 enum class frame_error {
     none = 0,

@@ -185,10 +185,7 @@ std::unique_ptr<stream_detector> stream_server::build_detector(stream_open_confi
         case stream_kind::tracking:
             return std::make_unique<tracking_detector>(cfg.bootstrap_y, cfg.max_rank,
                                                        cfg.confidence, cfg.separation,
-                                                       pool_.get(), cfg.deferred_updates);
-        case stream_kind::tracker:
-            return std::make_unique<incremental_pca_tracker>(cfg.bootstrap_y, cfg.max_rank,
-                                                             pool_.get());
+                                                       pool_.get());
     }
     throw std::invalid_argument("stream_server: unknown stream kind");
 }

@@ -3,8 +3,8 @@
 // mix of streaming_diagnoser / tracking_detector /
 // incremental_pca_tracker, one per PoP / customer / vantage point -- each
 // with its own epoch space, its own bounded ingest inbox, and its
-// background maintenance (refits, deferred folds) multiplexed over one
-// shared engine thread_pool.
+// background maintenance (deferred refits) multiplexed over one shared
+// engine thread_pool.
 //
 // Parity guarantee: the server adds routing, never arithmetic. A stream
 // served here produces bit-identical output -- verdicts, SPE, thresholds,
@@ -93,10 +93,11 @@ namespace netdiag {
 // snapshot_all / restore_all round trips). Never reused after close.
 using stream_id = std::uint64_t;
 
+// The detectors open_stream builds. A maintenance-only
+// incremental_pca_tracker is served through adopt_stream.
 enum class stream_kind {
     diagnoser,  // streaming_diagnoser: sliding window + periodic refits
     tracking,   // tracking_detector: SPE detection over rank-1 updates
-    tracker,    // incremental_pca_tracker: maintenance-only axis tracking
 };
 
 // Receives every inbox-applied bin's result, on the drainer's thread, in
@@ -173,11 +174,10 @@ struct stream_open_config {
     matrix a;  // routing matrix (links x OD flows)
     streaming_config streaming;
 
-    // tracking / tracker only.
+    // tracking only.
     std::size_t max_rank = 10;
-    double confidence = 0.999;       // tracking
-    separation_config separation;    // tracking
-    bool deferred_updates = false;   // tracking: pipeline folds on the pool
+    double confidence = 0.999;
+    separation_config separation;
 
     // Ingest inbox wiring (concurrent edge); defaults give a blocking
     // auto-drained inbox of tuning-default capacity.

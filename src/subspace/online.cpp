@@ -311,7 +311,7 @@ streaming_diagnoser streaming_diagnoser::restore(ckpt::reader& in, thread_pool* 
 
 incremental_pca_tracker::incremental_pca_tracker(const matrix& bootstrap_y, std::size_t max_rank,
                                                  thread_pool* pool)
-    : max_rank_(max_rank), pool_(pool) {
+    : max_rank_(max_rank) {
     if (bootstrap_y.rows() < 2) {
         throw std::invalid_argument("incremental_pca_tracker: need at least two bootstrap rows");
     }
@@ -321,7 +321,7 @@ incremental_pca_tracker::incremental_pca_tracker(const matrix& bootstrap_y, std:
     mean_ = std::move(centered.column_means);
     count_ = bootstrap_y.rows();
 
-    right_svd full = right_svd_of(centered.centered, pool_);
+    right_svd full = right_svd_of(centered.centered, pool);
     const std::size_t keep = std::min(max_rank_, full.s.size());
     svd_.s.assign(full.s.begin(), full.s.begin() + static_cast<std::ptrdiff_t>(keep));
     svd_.v.assign(full.v.rows(), keep, 0.0);
@@ -336,7 +336,7 @@ void incremental_pca_tracker::push(std::span<const double> y) {
     // mean drifts slowly relative to the update stream, so treating it as
     // quasi-static is the standard approximation for subspace tracking.
     const vec centered = subtract(y, mean_);
-    svd_ = append_row(svd_, centered, max_rank_, pool_);
+    svd_ = append_row(svd_, centered, max_rank_);
     ++count_;
     ++pushed_;
     const double w = 1.0 / static_cast<double>(count_);
@@ -366,7 +366,7 @@ void incremental_pca_tracker::save(ckpt::writer& out) {
     ckpt::write_u64(out, pushed_);
 }
 
-incremental_pca_tracker incremental_pca_tracker::restore(ckpt::reader& in, thread_pool* pool) {
+incremental_pca_tracker incremental_pca_tracker::restore(ckpt::reader& in) {
     ckpt::expect_header(in, "incremental_pca_tracker");
     incremental_pca_tracker out;
     out.svd_.s = ckpt::read_vec(in);
@@ -375,7 +375,6 @@ incremental_pca_tracker incremental_pca_tracker::restore(ckpt::reader& in, threa
     out.count_ = ckpt::read_u64(in);
     out.max_rank_ = ckpt::read_u64(in);
     out.pushed_ = ckpt::read_u64(in);
-    out.pool_ = pool;
     if (out.max_rank_ == 0 || out.svd_.s.size() != out.svd_.v.cols() ||
         out.svd_.v.rows() != out.mean_.size()) {
         throw ckpt::format_error("incremental_pca_tracker::restore: inconsistent state");
@@ -393,22 +392,17 @@ tracking_detector::tracking_detector(const matrix& bootstrap_y, std::size_t max_
     // Fit the bootstrap PCA exactly once; the separation rank feeds both
     // the tracker's rank floor and the normal-subspace rank.
     : tracking_detector(bootstrap_rank_tag{}, bootstrap_y, max_rank, confidence,
-                        separate_normal_rank(fit_pca(bootstrap_y, pool), sep), pool,
-                        deferred_updates) {}
+                        separate_normal_rank(fit_pca(bootstrap_y, pool), sep), pool) {
+    if (deferred_updates) {
+        throw std::invalid_argument("tracking_detector: deferred updates are not supported");
+    }
+}
 
 tracking_detector::tracking_detector(bootstrap_rank_tag, const matrix& bootstrap_y,
                                      std::size_t max_rank, double confidence,
-                                     std::size_t bootstrap_normal_rank, thread_pool* pool,
-                                     bool deferred_updates)
-    // Deferred folds run *on* the pool, so the tracker math inside them
-    // must stay serial (no nested parallel_for); inline folds shard their
-    // rank-1 update across the pool instead. Either way the arithmetic is
-    // identical.
-    : tracker_(bootstrap_y, std::max(max_rank, bootstrap_normal_rank + 1),
-               deferred_updates ? nullptr : pool),
-      confidence_(confidence),
-      pool_(pool),
-      deferred_updates_(deferred_updates && pool != nullptr) {
+                                     std::size_t bootstrap_normal_rank, thread_pool* pool)
+    : tracker_(bootstrap_y, std::max(max_rank, bootstrap_normal_rank + 1), pool),
+      confidence_(confidence) {
     if (!(confidence > 0.0 && confidence < 1.0)) {
         throw std::invalid_argument("tracking_detector: confidence outside (0, 1)");
     }
@@ -422,24 +416,8 @@ tracking_detector::tracking_detector(bootstrap_rank_tag, const matrix& bootstrap
     refresh_threshold();
 }
 
-tracking_detector::~tracking_detector() {
-    try {
-        join_fold();
-    } catch (...) {
-    }
-}
-
-void tracking_detector::join_fold() {
-    if (fold_inflight_.valid()) {
-        thread_pool::assert_wait_allowed();
-        fold_inflight_.get();
-    }
-}
-
-void tracking_detector::drain() {
-    pusher_cap_.assert_held();
-    join_fold();
-}
+tracking_detector::tracking_detector(incremental_pca_tracker&& tracker)
+    : tracker_(std::move(tracker)) {}
 
 void tracking_detector::refresh_threshold() {
     // Eigenvalue spectrum estimate: tracked values for the top axes, the
@@ -462,7 +440,7 @@ void tracking_detector::refresh_threshold() {
     threshold_ = q_statistic_threshold(spectrum, normal_rank_, confidence_);
 }
 
-detection_result tracking_detector::test_current(std::span<const double> y) const {
+detection_result tracking_detector::test(std::span<const double> y) const {
     if (y.size() != dimension_) {
         throw std::invalid_argument("tracking_detector: measurement size mismatch");
     }
@@ -477,60 +455,25 @@ detection_result tracking_detector::test_current(std::span<const double> y) cons
     return {spe > threshold_, spe, threshold_};
 }
 
-detection_result tracking_detector::test(std::span<const double> y) {
-    pusher_cap_.assert_held();
-    join_fold();
-    return test_current(y);
-}
+detection_result tracking_detector::push(std::span<const double> y) {
+    // Bin t is tested against the model of bins < t, then folded in.
+    const detection_result result = test(y);
+    ++processed_;
+    if (result.anomalous) ++alarms_;
 
-double tracking_detector::threshold() {
-    pusher_cap_.assert_held();
-    join_fold();
-    return threshold_;
-}
-
-const incremental_pca_tracker& tracking_detector::tracker() {
-    pusher_cap_.assert_held();
-    join_fold();
-    return tracker_;
-}
-
-void tracking_detector::fold(std::span<const double> y) {
     const vec centered = subtract(y, tracker_.running_mean());
     total_variance_sum_ += norm_squared(centered);
     tracker_.push(y);
     refresh_threshold();
-    epoch_.fetch_add(1, std::memory_order_relaxed);
-}
-
-detection_result tracking_detector::push(std::span<const double> y) {
-    // Single-pusher contract: see pusher_cap_ in the header.
-    pusher_cap_.assert_held();
-    // Bin t is tested against the model of bins < t -- exactly the serial
-    // ordering -- while the fold of bin t may overlap the caller's gap to
-    // bin t+1. The join above bounds the pipeline at one fold of lag.
-    join_fold();
-    const detection_result result = test_current(y);
-    ++processed_;
-    if (result.anomalous) ++alarms_;
-
-    if (deferred_updates_) {
-        // Only the background task needs its own copy of the measurement;
-        // the inline path folds the span directly.
-        vec sample(y.begin(), y.end());
-        fold_inflight_ =
-            pool_->submit_task([this, sample = std::move(sample)] { fold(sample); });
-    } else {
-        fold(y);
-    }
+    ++epoch_;
     return result;
 }
 
 void tracking_detector::save(ckpt::writer& out) {
-    pusher_cap_.assert_held();
-    join_fold();
     ckpt::write_header(out, "tracking_detector");
-    ckpt::write_flag(out, deferred_updates_);
+    // The retired deferred-updates flag: always written 0, so records keep
+    // their layout (docs/CHECKPOINT_FORMAT.md).
+    ckpt::write_flag(out, false);
     ckpt::write_f64(out, confidence_);
     ckpt::write_u64(out, normal_rank_);
     ckpt::write_u64(out, dimension_);
@@ -538,73 +481,41 @@ void tracking_detector::save(ckpt::writer& out) {
     ckpt::write_f64(out, total_variance_sum_);
     ckpt::write_u64(out, processed_);
     ckpt::write_u64(out, alarms_);
-    ckpt::write_u64(out, epoch_.load(std::memory_order_relaxed));
+    ckpt::write_u64(out, epoch_);
     tracker_.save(out);
 }
 
-struct tracking_detector::restored_state {
-    std::optional<incremental_pca_tracker> tracker;
-    bool deferred_updates = false;
-    double confidence = 0.999;
-    std::size_t normal_rank = 0;
-    std::size_t dimension = 0;
-    double threshold = 0.0;
-    double total_variance_sum = 0.0;
-    std::size_t processed = 0;
-    std::size_t alarms = 0;
-    std::uint64_t epoch = 0;
-    thread_pool* pool = nullptr;
-};
-
-tracking_detector::tracking_detector(restored_state&& state)
-    : tracker_(std::move(*state.tracker)),
-      confidence_(state.confidence),
-      normal_rank_(state.normal_rank),
-      dimension_(state.dimension),
-      threshold_(state.threshold),
-      total_variance_sum_(state.total_variance_sum),
-      processed_(state.processed),
-      alarms_(state.alarms),
-      epoch_(state.epoch),
-      pool_(state.pool),
-      deferred_updates_(state.deferred_updates && state.pool != nullptr) {}
-
-tracking_detector::tracking_detector(tracking_detector&& other)
-    // Join first (via the comma in the first initializer) so no worker is
-    // still writing through the moved-from object's `this`.
-    : tracker_((other.join_fold(), std::move(other.tracker_))),
-      confidence_(other.confidence_),
-      normal_rank_(other.normal_rank_),
-      dimension_(other.dimension_),
-      threshold_(other.threshold_),
-      total_variance_sum_(other.total_variance_sum_),
-      processed_(other.processed_),
-      alarms_(other.alarms_),
-      epoch_(other.epoch_.load(std::memory_order_relaxed)),
-      pool_(other.pool_),
-      deferred_updates_(other.deferred_updates_) {}
-
-tracking_detector tracking_detector::restore(ckpt::reader& in, thread_pool* pool) {
+tracking_detector tracking_detector::restore(ckpt::reader& in) {
     ckpt::expect_header(in, "tracking_detector");
-    restored_state state;
-    state.deferred_updates = ckpt::read_flag(in);
-    state.confidence = ckpt::read_f64(in);
-    state.normal_rank = ckpt::read_u64(in);
-    state.dimension = ckpt::read_u64(in);
-    state.threshold = ckpt::read_f64(in);
-    state.total_variance_sum = ckpt::read_f64(in);
-    state.processed = ckpt::read_u64(in);
-    state.alarms = ckpt::read_u64(in);
-    state.epoch = ckpt::read_u64(in);
-    state.pool = pool;
-    incremental_pca_tracker tracker = incremental_pca_tracker::restore(
-        in, (state.deferred_updates && pool != nullptr) ? nullptr : pool);
-    if (tracker.dimension() != state.dimension ||
-        !(state.confidence > 0.0 && state.confidence < 1.0)) {
+    // The deferred-updates flag is ignored: a deferred fold ran the same
+    // arithmetic as an inline one, so a record saved with it set replays
+    // bit-identically.
+    (void)ckpt::read_flag(in);
+    const double confidence = ckpt::read_f64(in);
+    const std::size_t normal_rank = ckpt::read_u64(in);
+    const std::size_t dimension = ckpt::read_u64(in);
+    const double threshold = ckpt::read_f64(in);
+    const double total_variance_sum = ckpt::read_f64(in);
+    const std::size_t processed = ckpt::read_u64(in);
+    const std::size_t alarms = ckpt::read_u64(in);
+    const std::uint64_t epoch = ckpt::read_u64(in);
+    incremental_pca_tracker tracker = incremental_pca_tracker::restore(in);
+    // Re-check the constructor's invariants: the Q-statistic threshold
+    // cannot be computed for a normal rank above the dimension.
+    if (tracker.dimension() != dimension || normal_rank > dimension ||
+        !(confidence > 0.0 && confidence < 1.0)) {
         throw ckpt::format_error("tracking_detector::restore: inconsistent state");
     }
-    state.tracker = std::move(tracker);
-    return tracking_detector(std::move(state));
+    tracking_detector out(std::move(tracker));
+    out.confidence_ = confidence;
+    out.normal_rank_ = normal_rank;
+    out.dimension_ = dimension;
+    out.threshold_ = threshold;
+    out.total_variance_sum_ = total_variance_sum;
+    out.processed_ = processed;
+    out.alarms_ = alarms;
+    out.epoch_ = epoch;
+    return out;
 }
 
 }  // namespace netdiag

@@ -13,15 +13,15 @@
 //    full recomputation entirely;
 //  - tracking_detector: SPE detection on top of the tracker.
 //
-// Pipelining: a refit (or rank-1 fold) is the maintenance path; testing
-// the next bin is the detection path. With an engine thread_pool the
-// maintenance runs as a background task while detection keeps reading the
-// current epoch-versioned model snapshot, and the snapshot swap is applied
-// on the push thread at a deterministic bin boundary -- so the output
-// sequence depends only on the input stream, never on thread timing.
+// Pipelining: a refit is the maintenance path; testing the next bin is
+// the detection path. With an engine thread_pool a deferred refit runs as a
+// background task while detection keeps reading the current
+// epoch-versioned model snapshot, and the snapshot swap is applied on the
+// push thread at a deterministic bin boundary -- so the output sequence
+// depends only on the input stream, never on thread timing. A rank-1 fold
+// costs O(m k) and always runs inline on the push thread.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -184,8 +184,8 @@ private:
 class incremental_pca_tracker final : public stream_detector {
 public:
     // Throws std::invalid_argument when bootstrap has fewer than two rows
-    // or max_rank is zero. A non-null pool shards the bootstrap SVD and
-    // every rank-1 fold (bit-identical for any pool size).
+    // or max_rank is zero. A non-null pool shards the bootstrap SVD
+    // (bit-identical for any pool size); every rank-1 fold is serial.
     incremental_pca_tracker(const matrix& bootstrap_y, std::size_t max_rank,
                             thread_pool* pool = nullptr);
 
@@ -198,7 +198,7 @@ public:
     std::uint64_t model_epoch() const noexcept override { return pushed_; }
     void drain() override {}  // folds are synchronous
     void save(ckpt::writer& out) override;
-    static incremental_pca_tracker restore(ckpt::reader& in, thread_pool* pool = nullptr);
+    static incremental_pca_tracker restore(ckpt::reader& in);
 
     std::size_t sample_count() const noexcept { return count_; }
     std::size_t rank() const noexcept { return svd_.v.cols(); }
@@ -216,7 +216,6 @@ private:
     std::size_t count_ = 0;
     std::size_t max_rank_ = 0;
     std::uint64_t pushed_ = 0;
-    thread_pool* pool_ = nullptr;
 };
 
 // Fully incremental online detector built on rank-1 SVD updates: the
@@ -232,50 +231,39 @@ public:
     // max_rank bounds the tracked spectrum; it is raised to the separation
     // rank + 1 when smaller, so a tracked residual tail always exists.
     // The bootstrap PCA is fit exactly once (shared by the rank raise and
-    // the subspace separation); a non-null pool shards that fit and every
-    // rank-1 fold. deferred_updates additionally moves each fold onto the
-    // pool as a background task: push tests bin t against the model of
-    // bins < t (exactly the serial arithmetic, hence bit-identical), and
-    // the fold of bin t overlaps the caller's gap to bin t+1, waiting at
-    // most one fold behind. Throws std::invalid_argument on a degenerate
-    // bootstrap or a confidence outside (0, 1).
+    // the subspace separation); a non-null pool shards that fit. Every
+    // rank-1 fold runs inline on the push thread. deferred_updates must be
+    // false: the parameter remains only because the end-to-end benchmark
+    // harness passes it. Throws std::invalid_argument when it is true, on
+    // a degenerate bootstrap or on a confidence outside (0, 1).
     tracking_detector(const matrix& bootstrap_y, std::size_t max_rank,
                       double confidence = 0.999, const separation_config& sep = {},
                       thread_pool* pool = nullptr, bool deferred_updates = false);
-
-    // Joins the source's in-flight fold, then moves (folds capture `this`,
-    // so a live fold must never survive a move).
-    tracking_detector(tracking_detector&& other);
-
-    // Joins any in-flight fold.
-    ~tracking_detector() override;
 
     // Tests the measurement against the current model, then folds it into
     // the tracked decomposition (every measurement refines the model).
     detection_result push(std::span<const double> y);
 
-    // Test only, without updating the model. Joins an in-flight fold so
-    // the verdict always reflects every pushed measurement.
-    detection_result test(std::span<const double> y);
+    // Test only, without updating the model.
+    detection_result test(std::span<const double> y) const;
 
     detection_result push_bin(std::span<const double> y) override { return push(y); }
     std::size_t dimension() const noexcept override { return dimension_; }
     std::size_t processed() const noexcept override { return processed_; }
     std::size_t alarm_count() const noexcept override { return alarms_; }
-    std::uint64_t model_epoch() const noexcept override {
-        return epoch_.load(std::memory_order_relaxed);
-    }
-    void drain() override;
+    std::uint64_t model_epoch() const noexcept override { return epoch_; }
+    void drain() override {}  // folds are synchronous
     void save(ckpt::writer& out) override;
-    static tracking_detector restore(ckpt::reader& in, thread_pool* pool = nullptr);
+    // Throws ckpt::format_error on malformed input, including a normal
+    // rank above the dimension.
+    static tracking_detector restore(ckpt::reader& in);
 
     std::size_t normal_rank() const noexcept { return normal_rank_; }
-    double threshold();
-    const incremental_pca_tracker& tracker();
+    double threshold() const noexcept { return threshold_; }
+    const incremental_pca_tracker& tracker() const noexcept { return tracker_; }
 
 private:
-    struct restored_state;  // defined in online.cpp
-    explicit tracking_detector(restored_state&& state);
+    explicit tracking_detector(incremental_pca_tracker&& tracker);
 
     // Delegation target taking the bootstrap separation rank, so the
     // bootstrap PCA is fit once and reused for both the tracker's rank
@@ -284,21 +272,9 @@ private:
     // would otherwise be ambiguous against the rank).
     struct bootstrap_rank_tag {};
     tracking_detector(bootstrap_rank_tag, const matrix& bootstrap_y, std::size_t max_rank,
-                      double confidence, std::size_t bootstrap_normal_rank, thread_pool* pool,
-                      bool deferred_updates);
+                      double confidence, std::size_t bootstrap_normal_rank, thread_pool* pool);
 
-    detection_result test_current(std::span<const double> y) const;
-    // Runs on the push thread (inline mode) or on a pool worker (deferred
-    // mode) -- but never concurrently with itself or a test: push joins
-    // the previous fold first. Deliberately outside the pusher capability.
-    void fold(std::span<const double> y);
-    void join_fold() NETDIAG_REQUIRES(pusher_cap_);
     void refresh_threshold();
-
-    // Single-pusher contract (see streaming_diagnoser::pusher_cap_):
-    // guards the fold pipeline handle so only the pushing role can join
-    // or replace the in-flight fold.
-    sync::role pusher_cap_;
 
     incremental_pca_tracker tracker_;
     double confidence_ = 0.999;
@@ -308,12 +284,7 @@ private:
     double total_variance_sum_ = 0.0;  // running sum of ||y - mean||^2
     std::size_t processed_ = 0;
     std::size_t alarms_ = 0;
-    // Folds applied; atomic because a deferred fold advances it from a
-    // worker while model_epoch() may read it from the push thread.
-    std::atomic<std::uint64_t> epoch_{0};
-    thread_pool* pool_ = nullptr;
-    bool deferred_updates_ = false;
-    std::future<void> fold_inflight_ NETDIAG_GUARDED_BY(pusher_cap_);
+    std::uint64_t epoch_ = 0;  // folds applied
 };
 
 }  // namespace netdiag

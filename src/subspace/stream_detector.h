@@ -6,8 +6,9 @@
 // Model-swap semantics: each implementation separates the *detection
 // path* (test the arriving bin against an epoch-versioned model snapshot)
 // from the *maintenance path* (refit or fold that produces the next
-// snapshot). Maintenance may run on an engine thread_pool so push_bin
-// never stalls on it; the snapshot swap is applied on the push thread at
+// snapshot). A deferred refit runs on an engine thread_pool so push_bin
+// never stalls on it, and a rank-1 fold is cheap enough to run inline; the
+// snapshot swap is applied on the push thread at
 // a deterministic bin boundary, so for a fixed input stream the entire
 // output sequence -- verdicts, epochs, alarm counts -- is bit-identical
 // for every pool size, including no pool at all.

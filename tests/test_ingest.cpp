@@ -254,8 +254,7 @@ protected:
             cfg.a = routing_.a;
             cfg.streaming = diagnoser_config(mode);
         } else {
-            cfg.max_rank = kind == stream_kind::tracking ? 8 : 6;
-            cfg.deferred_updates = kind == stream_kind::tracking;
+            cfg.max_rank = 8;
         }
         cfg.ingest = std::move(ingest);
         return cfg;
@@ -272,8 +271,6 @@ protected:
                                                              diagnoser_config(mode));
             case stream_kind::tracking:
                 return std::make_unique<tracking_detector>(boot, 8);
-            case stream_kind::tracker:
-                return std::make_unique<incremental_pca_tracker>(boot, 6);
         }
         return nullptr;
     }
@@ -526,7 +523,7 @@ TEST_F(IngestFixture, RejectPolicyReturnsDistinctErrors) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     // Unknown stream.
     EXPECT_EQ(server.ingest(id + 99, y_.row(k_boot)).error, ingest_error::unknown_stream);
@@ -578,7 +575,7 @@ TEST_F(IngestFixture, DropOldestConservesStatsAndKeepsTheNewest) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     for (std::size_t i = 0; i < 10; ++i) {
         ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
@@ -598,7 +595,7 @@ TEST_F(IngestFixture, DropOldestConservesStatsAndKeepsTheNewest) {
     // The survivors are the newest four bins (sequences 6..9), applied in
     // order and bit-identical to a standalone detector fed just those.
     ASSERT_EQ(capture.results.size(), 4u);
-    const auto twin = standalone(stream_kind::tracker, 0);
+    const auto twin = standalone(stream_kind::tracking, 0);
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(capture.results[i].first, 6 + i);
         expect_same_detection(twin->push_bin(y_.row(k_boot + 6 + i)),
@@ -615,7 +612,7 @@ TEST_F(IngestFixture, BlockPolicyWaitsForTheDrainer) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     constexpr std::size_t k_bins = 7;
     std::atomic<std::size_t> ingested{0};
@@ -650,7 +647,7 @@ TEST_F(IngestFixture, CloseStreamDrainsNonEmptyInboxAndWakesBlockedProducers) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot)).ok());
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 1)).ok());
@@ -670,7 +667,7 @@ TEST_F(IngestFixture, CloseStreamDrainsNonEmptyInboxAndWakesBlockedProducers) {
     producer.join();
     EXPECT_EQ(blocked_error.load(), static_cast<int>(ingest_error::stream_closed));
     ASSERT_EQ(capture.results.size(), 2u);
-    const auto twin = standalone(stream_kind::tracker, 0);
+    const auto twin = standalone(stream_kind::tracking, 0);
     for (std::size_t i = 0; i < 2; ++i) {
         EXPECT_EQ(capture.results[i].first, i);
         expect_same_detection(twin->push_bin(y_.row(k_boot + i)), capture.results[i].second,
@@ -688,7 +685,7 @@ TEST_F(IngestFixture, IngestBatchAssignsConsecutiveSequencesUnderContention) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     constexpr std::size_t k_threads = 4;
     constexpr std::size_t k_batches = 4;
@@ -873,7 +870,7 @@ TEST_F(IngestFixture, SnapshotCompletesWhileAProducerIsBlockedOnAFullInbox) {
     ingest.auto_drain = false;
     ingest.sink = capture.fn();
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
 
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot)).ok());
     ASSERT_TRUE(server.ingest(id, y_.row(k_boot + 1)).ok());
@@ -931,7 +928,7 @@ TEST_F(IngestFixture, MalformedInboxCapacityInCheckpointIsRejected) {
         ingest_options ingest;
         ingest.capacity = 8;
         (void)server.open_stream(
-            open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+            open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
         server.snapshot_all(dir);
     }
     // Corrupt the capacity field: the first u64 after the server_stream
@@ -1005,7 +1002,7 @@ TEST_F(IngestFixture, RestoreRejectsRecordsThatBreakCounterConservation) {
     ingest.capacity = 8;
     ingest.auto_drain = false;
     const stream_id id = server.open_stream(
-        open_config(stream_kind::tracker, 0, refit_mode::deferred, std::move(ingest)));
+        open_config(stream_kind::tracking, 0, refit_mode::deferred, std::move(ingest)));
     for (std::size_t i = 0; i < 5; ++i) {
         ASSERT_TRUE(server.ingest(id, y_.row(k_boot + i)).ok());
         if (i == 2) server.flush_stream(id);

@@ -117,7 +117,7 @@ TEST(IngestLatency, ExactUnderInjectedTickSource) {
 
     stream_server server({.threads = 0});
     stream_open_config cfg;
-    cfg.kind = stream_kind::tracker;
+    cfg.kind = stream_kind::tracking;
     cfg.bootstrap_y = boot;
     cfg.max_rank = 4;
     cfg.ingest.capacity = 16;

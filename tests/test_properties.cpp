@@ -207,7 +207,7 @@ protected:
                 cfg.max_rank = 7;
                 break;
             default:
-                cfg.kind = stream_kind::tracker;
+                cfg.kind = stream_kind::tracking;
                 cfg.max_rank = 5;
                 break;
         }

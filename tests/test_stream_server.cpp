@@ -85,7 +85,7 @@ protected:
             cfg.a = routing_.a;
             cfg.streaming = diagnoser_config(mode);
         } else {
-            cfg.max_rank = kind == stream_kind::tracking ? 8 : 6;
+            cfg.max_rank = 8;
         }
         return cfg;
     }
@@ -101,8 +101,6 @@ protected:
                                                              diagnoser_config(mode));
             case stream_kind::tracking:
                 return std::make_unique<tracking_detector>(boot, 8);
-            case stream_kind::tracker:
-                return std::make_unique<incremental_pca_tracker>(boot, 6);
         }
         return nullptr;
     }
@@ -149,8 +147,15 @@ TEST_F(StreamServerFixture, DiagnoserParityForEveryRefitModeAndPoolSize) {
 }
 
 TEST_F(StreamServerFixture, TrackingAndTrackerParityAcrossPoolSizes) {
-    for (const stream_kind kind : {stream_kind::tracking, stream_kind::tracker}) {
-        const auto reference = standalone(kind, 5);
+    // The tracking kind is opened by the server; the maintenance-only
+    // tracker has no stream_kind and is served through adopt_stream.
+    for (const bool tracker : {false, true}) {
+        const matrix boot = bootstrap_slice(5);
+        const auto make = [&]() -> std::unique_ptr<stream_detector> {
+            if (tracker) return std::make_unique<incremental_pca_tracker>(boot, 6);
+            return standalone(stream_kind::tracking, 5);
+        };
+        const auto reference = make();
         std::vector<detection_result> expected;
         for (std::size_t r = k_boot + 5; r < k_boot + 45; ++r) {
             expected.push_back(reference->push_bin(y_.row(r)));
@@ -158,11 +163,13 @@ TEST_F(StreamServerFixture, TrackingAndTrackerParityAcrossPoolSizes) {
 
         for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
             stream_server server({.threads = threads});
-            const stream_id id = server.open_stream(open_config(kind, 5));
+            const stream_id id = tracker
+                                     ? server.adopt_stream(make())
+                                     : server.open_stream(open_config(stream_kind::tracking, 5));
             for (std::size_t r = k_boot + 5; r < k_boot + 45; ++r) {
                 const detection_result got = server.push(id, y_.row(r));
                 expect_same_detection(expected[r - k_boot - 5], got,
-                                      "kind " + std::to_string(static_cast<int>(kind)) +
+                                      std::string(tracker ? "tracker" : "tracking") +
                                           " threads " + std::to_string(threads));
             }
             server.drain_all();
@@ -201,9 +208,8 @@ TEST_F(StreamServerFixture, ThirtyTwoStreamSeededStressMatchesShadows) {
         live.push_back(std::move(s));
     };
 
-    const stream_kind kinds[] = {stream_kind::diagnoser, stream_kind::tracking,
-                                 stream_kind::tracker};
-    for (std::size_t s = 0; s < k_streams; ++s) spawn(kinds[s % 3]);
+    const stream_kind kinds[] = {stream_kind::diagnoser, stream_kind::tracking};
+    for (std::size_t s = 0; s < k_streams; ++s) spawn(kinds[s % 2]);
 
     std::mt19937_64 rng(271828);
     const auto next_row = [&](shadow& s) {
@@ -240,7 +246,7 @@ TEST_F(StreamServerFixture, ThirtyTwoStreamSeededStressMatchesShadows) {
             server.close_stream(live[victim].id);
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
         } else {
-            spawn(kinds[rng() % 3]);
+            spawn(kinds[rng() % 2]);
         }
     }
 
@@ -271,17 +277,16 @@ TEST_F(StreamServerFixture, ConcurrentPushersOnDisjointStreamsMatchShadows) {
 
     struct owned_stream {
         stream_id id = 0;
-        stream_kind kind = stream_kind::tracker;
+        stream_kind kind = stream_kind::tracking;
         std::size_t boot = 0;
     };
     std::vector<std::vector<owned_stream>> owned(k_threads);
-    const stream_kind kinds[] = {stream_kind::diagnoser, stream_kind::tracking,
-                                 stream_kind::tracker};
+    const stream_kind kinds[] = {stream_kind::diagnoser, stream_kind::tracking};
     for (std::size_t t = 0; t < k_threads; ++t) {
         for (std::size_t s = 0; s < k_per_thread; ++s) {
             const std::size_t n = t * k_per_thread + s;
-            owned[t].push_back({server.open_stream(open_config(kinds[n % 3], n * 9)),
-                                kinds[n % 3], n * 9});
+            owned[t].push_back({server.open_stream(open_config(kinds[n % 2], n * 9)),
+                                kinds[n % 2], n * 9});
         }
     }
 
@@ -302,7 +307,7 @@ TEST_F(StreamServerFixture, ConcurrentPushersOnDisjointStreamsMatchShadows) {
     // Must never perturb the pusher threads' streams.
     std::thread churn([&] {
         for (std::size_t round = 0; round < 6; ++round) {
-            const stream_id id = server.open_stream(open_config(stream_kind::tracker, 100));
+            const stream_id id = server.open_stream(open_config(stream_kind::tracking, 100));
             for (std::size_t b = 0; b < 5; ++b) server.push(id, y_.row(100 + k_boot + b));
             server.close_stream(id);
         }
@@ -343,7 +348,7 @@ TEST_F(StreamServerFixture, SnapshotAllRestoreAllReplaysExactlyWithRefitInFlight
     std::vector<stream_id> ids;
     ids.push_back(original.open_stream(open_config(stream_kind::diagnoser, 0)));
     ids.push_back(original.open_stream(open_config(stream_kind::tracking, 20)));
-    ids.push_back(original.open_stream(open_config(stream_kind::tracker, 40)));
+    ids.push_back(original.open_stream(open_config(stream_kind::tracking, 40)));
 
     // Push until the diagnoser has a refit pending but not yet swapped
     // (trigger at 9, swap at 13): pendingness must survive the round trip.
@@ -388,7 +393,7 @@ TEST_F(StreamServerFixture, SnapshotAllRestoreAllReplaysExactlyWithRefitInFlight
     EXPECT_GE(restored.stats(ids[0]).epoch, 1u);
 
     // New streams opened after a restore must not collide with restored ids.
-    const stream_id fresh = restored.open_stream(open_config(stream_kind::tracker, 80));
+    const stream_id fresh = restored.open_stream(open_config(stream_kind::tracking, 80));
     for (const stream_id id : ids) EXPECT_NE(fresh, id);
 
     std::filesystem::remove_all(dir);
@@ -397,11 +402,11 @@ TEST_F(StreamServerFixture, SnapshotAllRestoreAllReplaysExactlyWithRefitInFlight
 TEST_F(StreamServerFixture, RestoreAllRequiresAnEmptyServer) {
     const std::string dir = temp_dir("server_snapshot_nonempty");
     stream_server a({.threads = 0});
-    (void)a.open_stream(open_config(stream_kind::tracker, 0));
+    (void)a.open_stream(open_config(stream_kind::tracking, 0));
     a.snapshot_all(dir);
 
     stream_server b({.threads = 0});
-    (void)b.open_stream(open_config(stream_kind::tracker, 10));
+    (void)b.open_stream(open_config(stream_kind::tracking, 10));
     EXPECT_THROW(b.restore_all(dir), std::logic_error);
     std::filesystem::remove_all(dir);
 }
@@ -421,9 +426,9 @@ TEST_F(StreamServerFixture, UnknownStreamIdThrowsEverywhere) {
 
 TEST_F(StreamServerFixture, StreamIdsAreNeverReused) {
     stream_server server({.threads = 0});
-    const stream_id a = server.open_stream(open_config(stream_kind::tracker, 0));
+    const stream_id a = server.open_stream(open_config(stream_kind::tracking, 0));
     server.close_stream(a);
-    const stream_id b = server.open_stream(open_config(stream_kind::tracker, 0));
+    const stream_id b = server.open_stream(open_config(stream_kind::tracking, 0));
     EXPECT_NE(a, b);
     EXPECT_EQ(server.stream_count(), 1u);
 }

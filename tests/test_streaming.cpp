@@ -21,10 +21,11 @@
 #include <vector>
 
 #include "engine/thread_pool.h"
-#include "engine/tuning.h"
 #include "linalg/ops.h"
 #include "measurement/link_loads.h"
 #include "measurement/stream_checkpoint.h"
+#include "net/frontend.h"
+#include "net/protocol.h"
 #include "serve/stream_server.h"
 #include "subspace/online.h"
 #include "topology/builders.h"
@@ -151,44 +152,6 @@ TEST_F(StreamingFixture, DeferredModeBitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(diag.model_epoch(), reference.model_epoch()) << "threads=" << threads;
         EXPECT_EQ(diag.alarm_count(), reference.alarm_count()) << "threads=" << threads;
         diag.drain();
-    }
-}
-
-TEST_F(StreamingFixture, TrackingDetectorDeferredFoldsBitIdenticalAcrossThreadCounts) {
-    tracking_detector reference(bootstrap_, 12);  // fully serial
-    std::vector<detection_result> expected;
-    for (std::size_t r = 0; r < 60; ++r) expected.push_back(reference.push(stream_.row(r)));
-
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        tracking_detector det(bootstrap_, 12, 0.999, {}, &pool, /*deferred_updates=*/true);
-        for (std::size_t r = 0; r < 60; ++r) {
-            const detection_result d = det.push(stream_.row(r));
-            expect_same_detection(expected[r], d, r);
-        }
-        det.drain();
-        EXPECT_EQ(det.model_epoch(), reference.model_epoch()) << "threads=" << threads;
-        EXPECT_EQ(det.threshold(), reference.threshold()) << "threads=" << threads;
-    }
-}
-
-TEST_F(StreamingFixture, TrackerPooledFoldsBitIdenticalAcrossThreadCounts) {
-    // Engage the pooled rank-1 update at unit-test sizes.
-    const scoped_tuning guard;
-    global_tuning().svd_update_parallel_min_work = 1;
-    global_tuning().svd_parallel_min_rows = 8;
-    global_tuning().parallel_min_hardware = 1;
-
-    incremental_pca_tracker reference(bootstrap_, 10);
-    for (std::size_t r = 0; r < 40; ++r) reference.push(stream_.row(r));
-
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        thread_pool pool(threads);
-        incremental_pca_tracker tracker(bootstrap_, 10, &pool);
-        for (std::size_t r = 0; r < 40; ++r) tracker.push(stream_.row(r));
-        ASSERT_EQ(tracker.axes(), reference.axes()) << "threads=" << threads;
-        ASSERT_EQ(tracker.axis_variance(), reference.axis_variance()) << "threads=" << threads;
-        ASSERT_EQ(tracker.running_mean(), reference.running_mean()) << "threads=" << threads;
     }
 }
 
@@ -659,6 +622,62 @@ TEST(GoldenCheckpoint, ByteSwappedMagicIsRejectedWithAnEndiannessError) {
     expect_load_rejected(be_record, "endianness", "big-endian native record");
 }
 
+// Offset of the value bytes of the `field`-th word after a
+// tracking_detector record's type tag: 0 is the retired deferred-updates
+// flag, 1 the confidence, 2 the normal rank. Each word is a one-byte
+// type tag followed by 8 little-endian value bytes.
+std::size_t tracking_field_at(const std::string& bytes, std::size_t field) {
+    const std::string tag = "tracking_detector";
+    const std::size_t at = bytes.find(tag);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no tracking_detector record in the bytes";
+        return 0;
+    }
+    return at + tag.size() + 9 * field + 1;
+}
+
+TEST(GoldenCheckpoint, TrackingRecordWithDeferredFlagSetReplaysAndResavesItCleared) {
+    // Records written while folds could run on a pool worker carry the
+    // flag set. Those folds ran the inline arithmetic, so such a record
+    // replays exactly like the committed one and re-saves with the flag 0.
+    const std::string fixture_bytes =
+        ckpt::read_file(golden_fixture_path("golden_tracking_detector_interchange.ckpt"));
+    std::string flagged = fixture_bytes;
+    const std::size_t flag_at = tracking_field_at(flagged, 0);
+    ASSERT_EQ(flagged.at(flag_at - 1), 'U');
+    ASSERT_EQ(flagged.substr(flag_at, 8), le64(0));
+    flagged.replace(flag_at, 8, le64(1));
+
+    ckpt::reader in(flagged);
+    std::unique_ptr<stream_detector> restored = load_stream_detector(in);
+    EXPECT_EQ(saved_bytes(*restored), fixture_bytes);
+    const matrix bins =
+        golden_measurements(k_golden_prefix_bins + k_golden_replay_bins, k_golden_dim, 99);
+    for (std::size_t r = k_golden_prefix_bins; r < bins.rows(); ++r) {
+        restored->push_bin(bins.row(r));
+    }
+    EXPECT_EQ(saved_bytes(*restored),
+              ckpt::read_file(golden_fixture_path("golden_tracking_detector_after.ckpt")));
+}
+
+TEST(GoldenCheckpoint, TrackingRestoreRejectsANormalRankAboveTheDimension) {
+    const std::string fixture_bytes =
+        ckpt::read_file(golden_fixture_path("golden_tracking_detector_interchange.ckpt"));
+    const std::size_t rank_at = tracking_field_at(fixture_bytes, 2);
+    ASSERT_EQ(fixture_bytes.at(rank_at - 1), 'U');
+
+    // A rank equal to the dimension is legal (the threshold is infinite).
+    std::string full = fixture_bytes;
+    full.replace(rank_at, 8, le64(k_golden_dim));
+    ckpt::reader in(full);
+    std::unique_ptr<stream_detector> restored = load_stream_detector(in);
+    EXPECT_FALSE(restored->push_bin(golden_measurements(1, k_golden_dim, 5).row(0)).anomalous);
+
+    std::string above = fixture_bytes;
+    above.replace(rank_at, 8, le64(50));
+    expect_load_rejected(above, "inconsistent state", "normal rank 50 on 6 links");
+}
+
 // ---------------------------------------------------------------------------
 // Fixtures for the records a migration actually moves: a
 // streaming_diagnoser with a pending refit AND a filled queued-refit
@@ -792,6 +811,21 @@ TEST(GoldenCheckpoint, ServerStreamWithInboxResidueReplaysAndResavesByteIdentica
     EXPECT_EQ(snapshot(server, id), ckpt::read_file(after))
         << "replaying the server_stream fixture no longer reproduces the committed state; "
            "regenerate with NETDIAG_REGEN_GOLDEN=1 only after an intentional change";
+}
+
+TEST(GoldenCheckpoint, WireRestoreOfANormalRankAboveTheDimensionIsMalformed) {
+    std::string record =
+        ckpt::read_file(golden_fixture_path("golden_server_stream_interchange.ckpt"));
+    const std::size_t rank_at = tracking_field_at(record, 2);
+    ASSERT_EQ(record.at(rank_at - 1), 'U');
+    record.replace(rank_at, 8, le64(50));
+
+    stream_server server({.threads = 0});
+    const net::frame resp = net::handle_request(
+        server, net::frame{static_cast<std::uint8_t>(net::msg_type::req_restore), record});
+    ASSERT_EQ(resp.type, static_cast<std::uint8_t>(net::msg_type::resp_error));
+    EXPECT_EQ(net::decode_error_response(resp.payload).code, net::wire_errc::malformed_payload);
+    EXPECT_EQ(server.stream_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

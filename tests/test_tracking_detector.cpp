@@ -136,6 +136,16 @@ TEST_F(TrackingFixture, Validation) {
     EXPECT_THROW(det.test(bad), std::invalid_argument);
 }
 
+TEST_F(TrackingFixture, DeferredUpdatesAreRejected) {
+    // Folds always run inline; the flag survives only as a parameter.
+    thread_pool pool(2);
+    EXPECT_THROW(tracking_detector(bootstrap_, 10, 0.999, {}, nullptr, true),
+                 std::invalid_argument);
+    EXPECT_THROW(tracking_detector(bootstrap_, 10, 0.999, {}, &pool, true),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(tracking_detector(bootstrap_, 10, 0.999, {}, &pool, false));
+}
+
 TEST_F(TrackingFixture, PushUpdatesModelState) {
     tracking_detector det(bootstrap_, 10);
     const std::size_t before = det.tracker().sample_count();

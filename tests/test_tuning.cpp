@@ -64,7 +64,6 @@ TEST(TuningProfile, SaveLoadRoundTripsEveryKnob) {
     custom.jacobi_parallel_min_dim = 333;
     custom.svd_row_block = 1024;
     custom.svd_parallel_min_rows = 4096;
-    custom.svd_update_parallel_min_work = 888;
     custom.diagnose_grain = 8;
     custom.parallel_min_hardware = 4;
     custom.ingest_inbox_capacity = 512;
